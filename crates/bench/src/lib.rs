@@ -897,33 +897,18 @@ pub fn fig10(artifacts: &[WorkloadArtifacts]) -> String {
     out
 }
 
-/// `true` when the machine-axis figures must use one scalar simulation per
-/// machine instead of the batched path — the escape hatch CI diffs against
-/// the batched output (they are bit-identical; this proves it end to end).
-fn fig11_scalar_mode() -> bool {
-    std::env::var("BSG_FIG11_SCALAR")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
 /// Times one compiled unit on every machine of `machines`, returning
 /// `time_ns` in roster order.  The batched path groups the roster by ISA —
 /// machines compile per ISA, so only same-ISA machines may legally share a
 /// binary — and times each group's image with **one** functional execution
 /// ([`MachineConfig::run_batch`]); Table III's five machines cost three
 /// executions instead of five, and each (workload, level) unit executes
-/// exactly once per distinct compiled image.  `BSG_FIG11_SCALAR=1` falls
-/// back to one scalar simulation per machine, bit-identical per lane.
+/// exactly once per distinct compiled image.  Each lane is bit-identical to
+/// a scalar simulation of its machine (the batched differential suite).
 fn machine_axis_times(
     machines: &[MachineConfig],
     compiled_for: &dyn Fn(MachineIsa) -> Arc<CompiledArtifact>,
 ) -> Vec<f64> {
-    if fig11_scalar_mode() {
-        return machines
-            .iter()
-            .map(|m| m.run_image(&compiled_for(m.isa).image).time_ns)
-            .collect();
-    }
     let mut times = vec![0.0; machines.len()];
     let mut isas: Vec<MachineIsa> = Vec::new();
     for m in machines {
@@ -966,7 +951,7 @@ fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title
     // 4 × (N + 1) grid still load-balances across workloads, and every row
     // of the rendered figure reads from the same measured values the
     // per-cell sharding produced (bit-identical lanes, proven by the
-    // batched differential suite and the scalar-mode golden diff).
+    // batched differential suite).
     let group: Vec<Option<&WorkloadArtifacts>> = artifacts
         .iter()
         .map(Some)

@@ -22,12 +22,6 @@
 //! address (up to hash collisions).  The encoding is independent of
 //! formatter internals and stable across processes and platforms.
 
-use crate::hll::{Expr, HllFunction, HllGlobal, HllProgram, LValue, Stmt};
-use crate::program::{Block, Function, Global, GlobalInit, Program};
-use crate::types::{BlockId, FuncId, GlobalId, Reg, Ty, Value};
-use crate::visa::{
-    Address, BinOp, Inst, InstClass, MemBase, Operand, OperandKind, Terminator, UnOp,
-};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Byte sink for the canonical encoding (implemented by hashers).
@@ -120,6 +114,16 @@ impl<T: Canon> Canon for [T] {
     }
 }
 
+/// Fixed-size arrays write their elements with **no** length prefix: the
+/// length is part of the type, so every value of it has the same shape.
+impl<T: Canon, const N: usize> Canon for [T; N] {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        for v in self {
+            v.canon(w);
+        }
+    }
+}
+
 impl<T: Canon> Canon for Vec<T> {
     fn canon(&self, w: &mut dyn CanonWrite) {
         self.as_slice().canon(w);
@@ -181,423 +185,11 @@ impl<T: Canon> Canon for BTreeSet<T> {
     }
 }
 
-impl Canon for Ty {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        w.write(&[match self {
-            Ty::Int => 0,
-            Ty::Float => 1,
-        }]);
-    }
-}
-
-impl Canon for Value {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            Value::Int(v) => {
-                w.write(&[0]);
-                v.canon(w);
-            }
-            Value::Float(v) => {
-                w.write(&[1]);
-                v.canon(w);
-            }
-        }
-    }
-}
-
-impl Canon for BinOp {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        w.write(&[match self {
-            BinOp::Add => 0,
-            BinOp::Sub => 1,
-            BinOp::Mul => 2,
-            BinOp::Div => 3,
-            BinOp::Rem => 4,
-            BinOp::And => 5,
-            BinOp::Or => 6,
-            BinOp::Xor => 7,
-            BinOp::Shl => 8,
-            BinOp::Shr => 9,
-            BinOp::Lt => 10,
-            BinOp::Le => 11,
-            BinOp::Gt => 12,
-            BinOp::Ge => 13,
-            BinOp::Eq => 14,
-            BinOp::Ne => 15,
-        }]);
-    }
-}
-
-impl Canon for UnOp {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        w.write(&[match self {
-            UnOp::Neg => 0,
-            UnOp::Not => 1,
-            UnOp::LogicalNot => 2,
-            UnOp::ToFloat => 3,
-            UnOp::ToInt => 4,
-            UnOp::Sqrt => 5,
-            UnOp::Sin => 6,
-            UnOp::Cos => 7,
-            UnOp::Log => 8,
-            UnOp::Abs => 9,
-        }]);
-    }
-}
-
-impl Canon for InstClass {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        w.write(&[self.index() as u8]);
-    }
-}
-
-impl Canon for OperandKind {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        w.write(&[match self {
-            OperandKind::Register => 0,
-            OperandKind::Constant => 1,
-            OperandKind::Memory => 2,
-        }]);
-    }
-}
-
-impl Canon for Expr {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            Expr::Int(v) => {
-                w.write(&[0]);
-                v.canon(w);
-            }
-            Expr::Float(v) => {
-                w.write(&[1]);
-                v.canon(w);
-            }
-            Expr::Var(n) => {
-                w.write(&[2]);
-                n.canon(w);
-            }
-            Expr::Index(n, idx) => {
-                w.write(&[3]);
-                n.canon(w);
-                idx.canon(w);
-            }
-            Expr::Bin(op, a, b) => {
-                w.write(&[4]);
-                op.canon(w);
-                a.canon(w);
-                b.canon(w);
-            }
-            Expr::Un(op, a) => {
-                w.write(&[5]);
-                op.canon(w);
-                a.canon(w);
-            }
-            Expr::Call(n, args) => {
-                w.write(&[6]);
-                n.canon(w);
-                args.canon(w);
-            }
-        }
-    }
-}
-
-impl Canon for LValue {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            LValue::Var(n) => {
-                w.write(&[0]);
-                n.canon(w);
-            }
-            LValue::Index(n, idx) => {
-                w.write(&[1]);
-                n.canon(w);
-                idx.canon(w);
-            }
-        }
-    }
-}
-
-impl Canon for Stmt {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            Stmt::Assign { target, value } => {
-                w.write(&[0]);
-                target.canon(w);
-                value.canon(w);
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                w.write(&[1]);
-                cond.canon(w);
-                then_branch.canon(w);
-                else_branch.canon(w);
-            }
-            Stmt::While { cond, body } => {
-                w.write(&[2]);
-                cond.canon(w);
-                body.canon(w);
-            }
-            Stmt::For {
-                var,
-                init,
-                limit,
-                step,
-                body,
-            } => {
-                w.write(&[3]);
-                var.canon(w);
-                init.canon(w);
-                limit.canon(w);
-                step.canon(w);
-                body.canon(w);
-            }
-            Stmt::Call { name, args, dst } => {
-                w.write(&[4]);
-                name.canon(w);
-                args.canon(w);
-                dst.canon(w);
-            }
-            Stmt::Return(v) => {
-                w.write(&[5]);
-                v.canon(w);
-            }
-            Stmt::Print(e) => {
-                w.write(&[6]);
-                e.canon(w);
-            }
-            Stmt::Break => w.write(&[7]),
-            Stmt::Continue => w.write(&[8]),
-        }
-    }
-}
-
-impl Canon for HllGlobal {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.name.canon(w);
-        self.elems.canon(w);
-        self.ty.canon(w);
-        self.init.canon(w);
-        self.iota.canon(w);
-    }
-}
-
-impl Canon for HllFunction {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.name.canon(w);
-        self.params.canon(w);
-        self.float_vars.canon(w);
-        self.body.canon(w);
-    }
-}
-
-impl Canon for HllProgram {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.globals.canon(w);
-        self.functions.canon(w);
-        self.entry.canon(w);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VISA programs (the compiled form, persisted by the disk artifact cache).
-// ---------------------------------------------------------------------------
-
-macro_rules! impl_canon_id {
-    ($($t:ty),*) => {$(
-        impl Canon for $t {
-            fn canon(&self, w: &mut dyn CanonWrite) {
-                self.0.canon(w);
-            }
-        }
-    )*};
-}
-
-impl_canon_id!(Reg, BlockId, FuncId, GlobalId);
-
-impl Canon for MemBase {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            MemBase::Global(g) => {
-                w.write(&[0]);
-                g.canon(w);
-            }
-            MemBase::Frame => w.write(&[1]),
-        }
-    }
-}
-
-impl Canon for Address {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.base.canon(w);
-        self.offset.canon(w);
-        self.index.canon(w);
-        self.scale.canon(w);
-    }
-}
-
-impl Canon for Operand {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            Operand::Reg(r) => {
-                w.write(&[0]);
-                r.canon(w);
-            }
-            Operand::ImmInt(v) => {
-                w.write(&[1]);
-                v.canon(w);
-            }
-            Operand::ImmFloat(v) => {
-                w.write(&[2]);
-                v.canon(w);
-            }
-            Operand::Mem(a) => {
-                w.write(&[3]);
-                a.canon(w);
-            }
-        }
-    }
-}
-
-impl Canon for Inst {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            Inst::Bin {
-                op,
-                ty,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                w.write(&[0]);
-                op.canon(w);
-                ty.canon(w);
-                dst.canon(w);
-                lhs.canon(w);
-                rhs.canon(w);
-            }
-            Inst::Un { op, ty, dst, src } => {
-                w.write(&[1]);
-                op.canon(w);
-                ty.canon(w);
-                dst.canon(w);
-                src.canon(w);
-            }
-            Inst::Mov { dst, src } => {
-                w.write(&[2]);
-                dst.canon(w);
-                src.canon(w);
-            }
-            Inst::Load { dst, addr, ty } => {
-                w.write(&[3]);
-                dst.canon(w);
-                addr.canon(w);
-                ty.canon(w);
-            }
-            Inst::Store { src, addr, ty } => {
-                w.write(&[4]);
-                src.canon(w);
-                addr.canon(w);
-                ty.canon(w);
-            }
-            Inst::Call { func, args, dst } => {
-                w.write(&[5]);
-                func.canon(w);
-                args.canon(w);
-                dst.canon(w);
-            }
-            Inst::Print { src } => {
-                w.write(&[6]);
-                src.canon(w);
-            }
-            Inst::Nop => w.write(&[7]),
-        }
-    }
-}
-
-impl Canon for Terminator {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            Terminator::Jump(b) => {
-                w.write(&[0]);
-                b.canon(w);
-            }
-            Terminator::Branch {
-                cond,
-                taken,
-                not_taken,
-            } => {
-                w.write(&[1]);
-                cond.canon(w);
-                taken.canon(w);
-                not_taken.canon(w);
-            }
-            Terminator::Return(v) => {
-                w.write(&[2]);
-                v.canon(w);
-            }
-        }
-    }
-}
-
-impl Canon for GlobalInit {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        match self {
-            GlobalInit::Zero => w.write(&[0]),
-            GlobalInit::Iota => w.write(&[1]),
-            GlobalInit::Values(v) => {
-                w.write(&[2]);
-                v.canon(w);
-            }
-            GlobalInit::Random { seed, modulus } => {
-                w.write(&[3]);
-                seed.canon(w);
-                modulus.canon(w);
-            }
-        }
-    }
-}
-
-impl Canon for Global {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.name.canon(w);
-        self.elems.canon(w);
-        self.ty.canon(w);
-        self.init.canon(w);
-    }
-}
-
-impl Canon for Block {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.insts.canon(w);
-        self.term.canon(w);
-    }
-}
-
-impl Canon for Function {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.name.canon(w);
-        self.blocks.canon(w);
-        self.entry.canon(w);
-        self.num_regs.canon(w);
-        self.params.canon(w);
-        self.frame_words.canon(w);
-    }
-}
-
-impl Canon for Program {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.functions.canon(w);
-        self.globals.canon(w);
-        self.entry.canon(w);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hll::{Expr, HllFunction, HllGlobal, HllProgram, Stmt};
+    use crate::types::Value;
 
     fn bytes<T: Canon + ?Sized>(v: &T) -> Vec<u8> {
         let mut out = Vec::new();

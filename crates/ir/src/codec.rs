@@ -26,12 +26,6 @@
 //! the encode produced.
 
 use crate::canon::Canon;
-use crate::hll::{Expr, HllFunction, HllGlobal, HllProgram, LValue, Stmt};
-use crate::program::{Block, Function, Global, GlobalInit, Program};
-use crate::types::{BlockId, FuncId, GlobalId, Reg, Ty, Value};
-use crate::visa::{
-    Address, BinOp, Inst, InstClass, MemBase, Operand, OperandKind, Terminator, UnOp,
-};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Bounded cursor over a canonical byte stream.
@@ -228,351 +222,129 @@ impl<T: Decanon + Ord> Decanon for BTreeSet<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// IR scalar enums.
-// ---------------------------------------------------------------------------
-
-impl Decanon for Ty {
+/// Fixed-size arrays carry no length prefix (see [`Canon`] for `[T; N]`).
+impl<T: Decanon, const N: usize> Decanon for [T; N] {
     fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => Some(Ty::Int),
-            1 => Some(Ty::Float),
-            _ => None,
+        let mut out = Vec::with_capacity(N);
+        for _ in 0..N {
+            out.push(T::decanon(r)?);
         }
+        out.try_into().ok()
     }
 }
 
-impl Decanon for Value {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => i64::decanon(r).map(Value::Int),
-            1 => f64::decanon(r).map(Value::Float),
-            _ => None,
-        }
-    }
-}
-
-impl Decanon for BinOp {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => BinOp::Add,
-            1 => BinOp::Sub,
-            2 => BinOp::Mul,
-            3 => BinOp::Div,
-            4 => BinOp::Rem,
-            5 => BinOp::And,
-            6 => BinOp::Or,
-            7 => BinOp::Xor,
-            8 => BinOp::Shl,
-            9 => BinOp::Shr,
-            10 => BinOp::Lt,
-            11 => BinOp::Le,
-            12 => BinOp::Gt,
-            13 => BinOp::Ge,
-            14 => BinOp::Eq,
-            15 => BinOp::Ne,
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for UnOp {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => UnOp::Neg,
-            1 => UnOp::Not,
-            2 => UnOp::LogicalNot,
-            3 => UnOp::ToFloat,
-            4 => UnOp::ToInt,
-            5 => UnOp::Sqrt,
-            6 => UnOp::Sin,
-            7 => UnOp::Cos,
-            8 => UnOp::Log,
-            9 => UnOp::Abs,
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for InstClass {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        InstClass::ALL.get(r.byte()? as usize).copied()
-    }
-}
-
-impl Decanon for OperandKind {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => Some(OperandKind::Register),
-            1 => Some(OperandKind::Constant),
-            2 => Some(OperandKind::Memory),
-            _ => None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// HLL programs.
-// ---------------------------------------------------------------------------
-
-impl Decanon for Expr {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Expr::Int(i64::decanon(r)?),
-            1 => Expr::Float(f64::decanon(r)?),
-            2 => Expr::Var(String::decanon(r)?),
-            3 => Expr::Index(String::decanon(r)?, Box::decanon(r)?),
-            4 => Expr::Bin(BinOp::decanon(r)?, Box::decanon(r)?, Box::decanon(r)?),
-            5 => Expr::Un(UnOp::decanon(r)?, Box::decanon(r)?),
-            6 => Expr::Call(String::decanon(r)?, Vec::decanon(r)?),
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for LValue {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => LValue::Var(String::decanon(r)?),
-            1 => LValue::Index(String::decanon(r)?, Box::decanon(r)?),
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for Stmt {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Stmt::Assign {
-                target: LValue::decanon(r)?,
-                value: Expr::decanon(r)?,
-            },
-            1 => Stmt::If {
-                cond: Expr::decanon(r)?,
-                then_branch: Vec::decanon(r)?,
-                else_branch: Vec::decanon(r)?,
-            },
-            2 => Stmt::While {
-                cond: Expr::decanon(r)?,
-                body: Vec::decanon(r)?,
-            },
-            3 => Stmt::For {
-                var: String::decanon(r)?,
-                init: Expr::decanon(r)?,
-                limit: Expr::decanon(r)?,
-                step: Expr::decanon(r)?,
-                body: Vec::decanon(r)?,
-            },
-            4 => Stmt::Call {
-                name: String::decanon(r)?,
-                args: Vec::decanon(r)?,
-                dst: Option::decanon(r)?,
-            },
-            5 => Stmt::Return(Option::decanon(r)?),
-            6 => Stmt::Print(Expr::decanon(r)?),
-            7 => Stmt::Break,
-            8 => Stmt::Continue,
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for HllGlobal {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(HllGlobal {
-            name: String::decanon(r)?,
-            elems: usize::decanon(r)?,
-            ty: Ty::decanon(r)?,
-            init: Vec::decanon(r)?,
-            iota: bool::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for HllFunction {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(HllFunction {
-            name: String::decanon(r)?,
-            params: Vec::decanon(r)?,
-            float_vars: Vec::decanon(r)?,
-            body: Vec::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for HllProgram {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(HllProgram {
-            globals: Vec::decanon(r)?,
-            functions: Vec::decanon(r)?,
-            entry: String::decanon(r)?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VISA programs.
-// ---------------------------------------------------------------------------
-
-macro_rules! impl_decanon_id {
-    ($($t:ident),*) => {$(
-        impl Decanon for $t {
-            fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-                u32::decanon(r).map($t)
+/// Emits the paired [`Canon`] and [`Decanon`] impls of a type from one
+/// field list, so encode and decode cannot disagree on order.
+///
+/// ```
+/// # use bsg_ir::canon_codec;
+/// # #[derive(Debug, PartialEq)] pub struct Pair { a: u32, b: String }
+/// # #[derive(Debug, PartialEq)] pub struct Id(u32);
+/// # #[derive(Debug, PartialEq)] pub enum Shape { Dot, Line(u32), Rect { w: u32, h: u32 } }
+/// canon_codec!(struct Pair { a, b });
+/// canon_codec!(struct Id(raw));
+/// canon_codec!(enum Shape {
+///     0 => Dot,
+///     1 => Line(len),
+///     2 => Rect { w, h },
+/// });
+/// # let v = Shape::Rect { w: 3, h: 4 };
+/// # let bytes = bsg_ir::codec::to_canon_bytes(&v);
+/// # assert_eq!(bsg_ir::codec::from_canon_bytes::<Shape>(&bytes), Some(v));
+/// ```
+///
+/// * Named-field structs list their fields; tuple structs (newtypes) name
+///   their positions.  Fields are encoded in list order.
+/// * Enum variants each carry an **explicit discriminant byte**, written
+///   before the variant's fields, so reordering the declaration cannot move
+///   the format.  Duplicate discriminants fail to compile.
+/// * Encode destructures `Self` with no `..` and decode builds it with a
+///   struct literal, so a field or variant missing from the list is a
+///   compile error in both directions.
+///
+/// Changing a list (order, fields or discriminants) changes the disk and
+/// wire format: bump the format versions and re-pin the format test.
+#[macro_export]
+macro_rules! canon_codec {
+    (struct $name:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::canon::Canon for $name {
+            fn canon(&self, w: &mut dyn $crate::canon::CanonWrite) {
+                let $name { $($field),* } = self;
+                $($crate::canon::Canon::canon($field, w);)*
             }
         }
-    )*};
-}
 
-impl_decanon_id!(Reg, BlockId, FuncId, GlobalId);
-
-impl Decanon for MemBase {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        match r.byte()? {
-            0 => GlobalId::decanon(r).map(MemBase::Global),
-            1 => Some(MemBase::Frame),
-            _ => None,
+        impl $crate::codec::Decanon for $name {
+            fn decanon(r: &mut $crate::codec::CanonReader<'_>) -> Option<Self> {
+                Some($name { $($field: $crate::codec::Decanon::decanon(r)?),* })
+            }
         }
-    }
+    };
+    (struct $name:ident ( $($field:ident),* $(,)? )) => {
+        impl $crate::canon::Canon for $name {
+            fn canon(&self, w: &mut dyn $crate::canon::CanonWrite) {
+                let $name($($field),*) = self;
+                $($crate::canon::Canon::canon($field, w);)*
+            }
+        }
+
+        impl $crate::codec::Decanon for $name {
+            fn decanon(r: &mut $crate::codec::CanonReader<'_>) -> Option<Self> {
+                $(let $field = $crate::codec::Decanon::decanon(r)?;)*
+                Some($name($($field),*))
+            }
+        }
+    };
+    (enum $name:ident {
+        $($disc:literal => $variant:ident
+            $(( $($tfield:ident),* $(,)? ))?
+            $({ $($sfield:ident),* $(,)? })?
+        ),* $(,)?
+    }) => {
+        const _: () = $crate::codec::assert_distinct_discriminants(&[$($disc),*]);
+
+        impl $crate::canon::Canon for $name {
+            fn canon(&self, w: &mut dyn $crate::canon::CanonWrite) {
+                match self {
+                    $($name::$variant $(($($tfield),*))? $({ $($sfield),* })? => {
+                        w.write(&[$disc]);
+                        $($($crate::canon::Canon::canon($tfield, w);)*)?
+                        $($($crate::canon::Canon::canon($sfield, w);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl $crate::codec::Decanon for $name {
+            fn decanon(r: &mut $crate::codec::CanonReader<'_>) -> Option<Self> {
+                match r.byte()? {
+                    $($disc => {
+                        $($(let $tfield = $crate::codec::Decanon::decanon(r)?;)*)?
+                        $($(let $sfield = $crate::codec::Decanon::decanon(r)?;)*)?
+                        Some($name::$variant $(($($tfield),*))? $({ $($sfield),* })?)
+                    })*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl Decanon for Address {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Address {
-            base: MemBase::decanon(r)?,
-            offset: i64::decanon(r)?,
-            index: Option::decanon(r)?,
-            scale: i64::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for Operand {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Operand::Reg(Reg::decanon(r)?),
-            1 => Operand::ImmInt(i64::decanon(r)?),
-            2 => Operand::ImmFloat(f64::decanon(r)?),
-            3 => Operand::Mem(Address::decanon(r)?),
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for Inst {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Inst::Bin {
-                op: BinOp::decanon(r)?,
-                ty: Ty::decanon(r)?,
-                dst: Reg::decanon(r)?,
-                lhs: Operand::decanon(r)?,
-                rhs: Operand::decanon(r)?,
-            },
-            1 => Inst::Un {
-                op: UnOp::decanon(r)?,
-                ty: Ty::decanon(r)?,
-                dst: Reg::decanon(r)?,
-                src: Operand::decanon(r)?,
-            },
-            2 => Inst::Mov {
-                dst: Reg::decanon(r)?,
-                src: Operand::decanon(r)?,
-            },
-            3 => Inst::Load {
-                dst: Reg::decanon(r)?,
-                addr: Address::decanon(r)?,
-                ty: Ty::decanon(r)?,
-            },
-            4 => Inst::Store {
-                src: Operand::decanon(r)?,
-                addr: Address::decanon(r)?,
-                ty: Ty::decanon(r)?,
-            },
-            5 => Inst::Call {
-                func: FuncId::decanon(r)?,
-                args: Vec::decanon(r)?,
-                dst: Option::decanon(r)?,
-            },
-            6 => Inst::Print {
-                src: Operand::decanon(r)?,
-            },
-            7 => Inst::Nop,
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for Terminator {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => Terminator::Jump(BlockId::decanon(r)?),
-            1 => Terminator::Branch {
-                cond: Reg::decanon(r)?,
-                taken: BlockId::decanon(r)?,
-                not_taken: BlockId::decanon(r)?,
-            },
-            2 => Terminator::Return(Option::decanon(r)?),
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for GlobalInit {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(match r.byte()? {
-            0 => GlobalInit::Zero,
-            1 => GlobalInit::Iota,
-            2 => GlobalInit::Values(Vec::decanon(r)?),
-            3 => GlobalInit::Random {
-                seed: u64::decanon(r)?,
-                modulus: i64::decanon(r)?,
-            },
-            _ => return None,
-        })
-    }
-}
-
-impl Decanon for Global {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Global {
-            name: String::decanon(r)?,
-            elems: usize::decanon(r)?,
-            ty: Ty::decanon(r)?,
-            init: GlobalInit::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for Block {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Block {
-            insts: Vec::decanon(r)?,
-            term: Terminator::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for Function {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Function {
-            name: String::decanon(r)?,
-            blocks: Vec::decanon(r)?,
-            entry: BlockId::decanon(r)?,
-            num_regs: u32::decanon(r)?,
-            params: Vec::decanon(r)?,
-            frame_words: u32::decanon(r)?,
-        })
-    }
-}
-
-impl Decanon for Program {
-    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
-        Some(Program {
-            functions: Vec::decanon(r)?,
-            globals: Vec::decanon(r)?,
-            entry: FuncId::decanon(r)?,
-        })
+/// Compile-time check behind [`canon_codec!`]: no two variants of one enum
+/// may share a discriminant byte.
+#[doc(hidden)]
+pub const fn assert_distinct_discriminants(discriminants: &[u8]) {
+    let mut i = 0;
+    while i < discriminants.len() {
+        let mut j = i + 1;
+        while j < discriminants.len() {
+            assert!(
+                discriminants[i] != discriminants[j],
+                "canon_codec!: duplicate enum discriminant"
+            );
+            j += 1;
+        }
+        i += 1;
     }
 }
 
@@ -580,6 +352,10 @@ impl Decanon for Program {
 mod tests {
     use super::*;
     use crate::build::FunctionBuilder;
+    use crate::hll::{Expr, HllGlobal, HllProgram, Stmt};
+    use crate::program::{Function, Global, Program};
+    use crate::types::{BlockId, FuncId, Ty, Value};
+    use crate::visa::{Address, Inst, Operand, Terminator, UnOp};
 
     fn roundtrip<T: Canon + Decanon + PartialEq + std::fmt::Debug>(value: &T) {
         let bytes = to_canon_bytes(value);
@@ -706,6 +482,12 @@ mod tests {
         roundtrip(&Value::Float(-0.0));
         roundtrip(&String::from("päper"));
         roundtrip(&Some(vec![(1u32, String::from("x"))]));
+        roundtrip(&[7u32, 8, 9]);
+        assert_eq!(
+            to_canon_bytes(&[7u32, 8, 9]).len(),
+            3 * 4,
+            "fixed-size arrays carry no length prefix"
+        );
         let nan = f64::from_bits(0x7ff8_0000_0000_0001);
         let bytes = to_canon_bytes(&nan);
         let back: f64 = from_canon_bytes(&bytes).expect("decodes");

@@ -33,6 +33,16 @@ pub enum Expr {
     Call(String, Vec<Expr>),
 }
 
+crate::canon_codec!(enum Expr {
+    0 => Int(v),
+    1 => Float(v),
+    2 => Var(name),
+    3 => Index(array, idx),
+    4 => Bin(op, lhs, rhs),
+    5 => Un(op, arg),
+    6 => Call(name, args),
+});
+
 impl Expr {
     /// Integer literal.
     pub fn int(v: i64) -> Expr {
@@ -139,6 +149,11 @@ pub enum LValue {
     Index(String, Box<Expr>),
 }
 
+crate::canon_codec!(enum LValue {
+    0 => Var(name),
+    1 => Index(array, idx),
+});
+
 impl LValue {
     /// Scalar variable l-value.
     pub fn var(name: impl Into<String>) -> LValue {
@@ -214,6 +229,18 @@ pub enum Stmt {
     Continue,
 }
 
+crate::canon_codec!(enum Stmt {
+    0 => Assign { target, value },
+    1 => If { cond, then_branch, else_branch },
+    2 => While { cond, body },
+    3 => For { var, init, limit, step, body },
+    4 => Call { name, args, dst },
+    5 => Return(value),
+    6 => Print(value),
+    7 => Break,
+    8 => Continue,
+});
+
 impl Stmt {
     /// `target = value;` convenience constructor.
     pub fn assign(target: LValue, value: Expr) -> Stmt {
@@ -261,6 +288,8 @@ pub struct HllGlobal {
     /// When `true`, elements are initialized to `0, 1, 2, ...` regardless of `init`.
     pub iota: bool,
 }
+
+crate::canon_codec!(struct HllGlobal { name, elems, ty, init, iota });
 
 impl HllGlobal {
     /// Zero-initialized integer array.
@@ -333,6 +362,8 @@ pub struct HllFunction {
     pub body: Vec<Stmt>,
 }
 
+crate::canon_codec!(struct HllFunction { name, params, float_vars, body });
+
 impl HllFunction {
     /// Creates an empty function.
     pub fn new(name: impl Into<String>) -> Self {
@@ -360,6 +391,8 @@ pub struct HllProgram {
     /// Name of the entry function.
     pub entry: String,
 }
+
+crate::canon_codec!(struct HllProgram { globals, functions, entry });
 
 impl HllProgram {
     /// Creates an empty program whose entry point is `main`.

@@ -26,6 +26,13 @@ pub enum GlobalInit {
     },
 }
 
+crate::canon_codec!(enum GlobalInit {
+    0 => Zero,
+    1 => Iota,
+    2 => Values(values),
+    3 => Random { seed, modulus },
+});
+
 /// A statically allocated global array of scalars.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Global {
@@ -38,6 +45,8 @@ pub struct Global {
     /// Initial contents.
     pub init: GlobalInit,
 }
+
+crate::canon_codec!(struct Global { name, elems, ty, init });
 
 impl Global {
     /// Creates a zero-initialized integer array.
@@ -98,6 +107,8 @@ pub struct Block {
     pub term: Terminator,
 }
 
+crate::canon_codec!(struct Block { insts, term });
+
 impl Block {
     /// A block that just jumps to `target`.
     pub fn jump_to(target: BlockId) -> Self {
@@ -125,6 +136,8 @@ pub struct Function {
     /// Stack-frame size in words (O0 locals and spill slots).
     pub frame_words: u32,
 }
+
+crate::canon_codec!(struct Function { name, blocks, entry, num_regs, params, frame_words });
 
 impl Function {
     /// Creates an empty function with a single entry block returning nothing.
@@ -208,6 +221,8 @@ pub struct Program {
     /// Entry function (the `main` of the workload).
     pub entry: FuncId,
 }
+
+crate::canon_codec!(struct Program { functions, globals, entry });
 
 impl Program {
     /// Creates an empty program with no functions.

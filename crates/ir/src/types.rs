@@ -10,6 +10,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Reg(pub u32);
 
+crate::canon_codec!(struct Reg(id));
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "r{}", self.0)
@@ -19,6 +21,8 @@ impl fmt::Display for Reg {
 /// Index of a basic block within its [`Function`](crate::program::Function).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct BlockId(pub u32);
+
+crate::canon_codec!(struct BlockId(id));
 
 impl BlockId {
     /// Returns the block id as a `usize` for indexing into `Function::blocks`.
@@ -37,6 +41,8 @@ impl fmt::Display for BlockId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FuncId(pub u32);
 
+crate::canon_codec!(struct FuncId(id));
+
 impl FuncId {
     /// Returns the function id as a `usize` for indexing into `Program::functions`.
     pub fn index(self) -> usize {
@@ -53,6 +59,8 @@ impl fmt::Display for FuncId {
 /// Index of a global (statically allocated array) within a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct GlobalId(pub u32);
+
+crate::canon_codec!(struct GlobalId(id));
 
 impl GlobalId {
     /// Returns the global id as a `usize` for indexing into `Program::globals`.
@@ -81,6 +89,11 @@ pub enum Ty {
     Float,
 }
 
+crate::canon_codec!(enum Ty {
+    0 => Int,
+    1 => Float,
+});
+
 impl fmt::Display for Ty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -98,6 +111,11 @@ pub enum Value {
     /// Floating-point value.
     Float(f64),
 }
+
+crate::canon_codec!(enum Value {
+    0 => Int(v),
+    1 => Float(v),
+});
 
 impl Default for Value {
     fn default() -> Self {

@@ -11,6 +11,8 @@
 //! others) and, at finer granularity, into the instruction types recorded in
 //! the SFGL profile (integer/floating-point add, multiply, divide, ...).
 
+use crate::canon::{Canon, CanonWrite};
+use crate::codec::{CanonReader, Decanon};
 use crate::types::{BlockId, FuncId, GlobalId, Reg, Ty};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -51,6 +53,25 @@ pub enum BinOp {
     /// Inequality comparison.
     Ne,
 }
+
+crate::canon_codec!(enum BinOp {
+    0 => Add,
+    1 => Sub,
+    2 => Mul,
+    3 => Div,
+    4 => Rem,
+    5 => And,
+    6 => Or,
+    7 => Xor,
+    8 => Shl,
+    9 => Shr,
+    10 => Lt,
+    11 => Le,
+    12 => Gt,
+    13 => Ge,
+    14 => Eq,
+    15 => Ne,
+});
 
 impl BinOp {
     /// Returns `true` for the comparison operators (`Lt`..`Ne`).
@@ -149,6 +170,19 @@ pub enum UnOp {
     Abs,
 }
 
+crate::canon_codec!(enum UnOp {
+    0 => Neg,
+    1 => Not,
+    2 => LogicalNot,
+    3 => ToFloat,
+    4 => ToInt,
+    5 => Sqrt,
+    6 => Sin,
+    7 => Cos,
+    8 => Log,
+    9 => Abs,
+});
+
 impl fmt::Display for UnOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -176,6 +210,11 @@ pub enum MemBase {
     Frame,
 }
 
+crate::canon_codec!(enum MemBase {
+    0 => Global(id),
+    1 => Frame,
+});
+
 /// A memory address of the form `base + offset + index * scale`, in words.
 ///
 /// Addresses are expressed in words (4 bytes, see
@@ -192,6 +231,8 @@ pub struct Address {
     /// Scale applied to the index register (in words).
     pub scale: i64,
 }
+
+crate::canon_codec!(struct Address { base, offset, index, scale });
 
 impl Address {
     /// An address at a constant word offset within a global array.
@@ -257,6 +298,13 @@ pub enum Operand {
     /// code generation, never by the portable lowering).
     Mem(Address),
 }
+
+crate::canon_codec!(enum Operand {
+    0 => Reg(reg),
+    1 => ImmInt(v),
+    2 => ImmFloat(v),
+    3 => Mem(addr),
+});
 
 impl Operand {
     /// The register, if the operand is a register.
@@ -327,6 +375,12 @@ pub enum OperandKind {
     /// Memory operand.
     Memory,
 }
+
+crate::canon_codec!(enum OperandKind {
+    0 => Register,
+    1 => Constant,
+    2 => Memory,
+});
 
 /// A VISA instruction.
 ///
@@ -401,6 +455,17 @@ pub enum Inst {
     /// No operation (EPIC bundle padding).
     Nop,
 }
+
+crate::canon_codec!(enum Inst {
+    0 => Bin { op, ty, dst, lhs, rhs },
+    1 => Un { op, ty, dst, src },
+    2 => Mov { dst, src },
+    3 => Load { dst, addr, ty },
+    4 => Store { src, addr, ty },
+    5 => Call { func, args, dst },
+    6 => Print { src },
+    7 => Nop,
+});
 
 impl Inst {
     /// The destination register written by this instruction, if any.
@@ -590,6 +655,20 @@ impl InstClass {
     }
 }
 
+/// Hand-written rather than [`canon_codec!`](crate::canon_codec): the byte
+/// is [`InstClass::index`], shared with the profilers' dense histograms.
+impl Canon for InstClass {
+    fn canon(&self, w: &mut dyn CanonWrite) {
+        w.write(&[self.index() as u8]);
+    }
+}
+
+impl Decanon for InstClass {
+    fn decanon(r: &mut CanonReader<'_>) -> Option<Self> {
+        InstClass::ALL.get(r.byte()? as usize).copied()
+    }
+}
+
 impl fmt::Display for InstClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -661,6 +740,12 @@ pub enum Terminator {
     /// Return from the function, optionally with a value.
     Return(Option<Operand>),
 }
+
+crate::canon_codec!(enum Terminator {
+    0 => Jump(target),
+    1 => Branch { cond, taken, not_taken },
+    2 => Return(value),
+});
 
 impl Terminator {
     /// Successor blocks, in (taken, not-taken) order for branches.

@@ -23,6 +23,7 @@
 //! (`BuildFailed::kind`, `Io::op`) are interned back to the runtime's known
 //! strings on decode, with a generic fallback for values minted elsewhere.
 
+use crate::disk::KINDS;
 use bsg_ir::canon::{Canon, CanonWrite};
 use bsg_ir::codec::{CanonReader, Decanon};
 use std::any::Any;
@@ -185,15 +186,9 @@ impl Canon for BsgError {
 }
 
 /// Interns a decoded `BuildFailed::kind` back to the store's `&'static`
-/// kind strings; unknown values fall back to `"artifact"`.
+/// kind strings ([`KINDS`]); unknown values fall back to `"artifact"`.
 fn intern_kind(s: &str) -> &'static str {
-    match s {
-        "compiled" => "compiled",
-        "profile" => "profile",
-        "synthesis" => "synthesis",
-        "c-text" => "c-text",
-        _ => "artifact",
-    }
+    KINDS.into_iter().find(|k| *k == s).unwrap_or("artifact")
 }
 
 /// Interns a decoded `Io::op` back to the runtime's known operation names;
@@ -311,7 +306,7 @@ mod tests {
 
     #[test]
     fn errors_roundtrip_through_the_canonical_codec() {
-        let samples = [
+        let mut samples = vec![
             BsgError::TaskPanic {
                 message: "boom".into(),
             },
@@ -338,6 +333,13 @@ mod tests {
                 limit: 256,
             },
         ];
+        // Every store kind must survive the `&'static str` interning.
+        samples.extend(KINDS.map(|kind| BsgError::BuildFailed {
+            kind,
+            key: "01".into(),
+            attempts: 1,
+            message: "failed".into(),
+        }));
         for e in samples {
             let bytes = bsg_ir::codec::to_canon_bytes(&e);
             let back: BsgError =

@@ -393,37 +393,18 @@ impl fmt::Display for StoreStats {
     }
 }
 
-impl Canon for StoreStats {
-    fn canon(&self, w: &mut dyn CanonWrite) {
-        self.compiled_builds.canon(w);
-        self.compiled_hits.canon(w);
-        self.profile_builds.canon(w);
-        self.profile_hits.canon(w);
-        self.c_text_builds.canon(w);
-        self.c_text_hits.canon(w);
-        self.synthesis_builds.canon(w);
-        self.synthesis_hits.canon(w);
-        self.build_failures.canon(w);
-        self.disk.canon(w);
-    }
-}
-
-impl bsg_ir::codec::Decanon for StoreStats {
-    fn decanon(r: &mut bsg_ir::codec::CanonReader<'_>) -> Option<Self> {
-        Some(StoreStats {
-            compiled_builds: u64::decanon(r)?,
-            compiled_hits: u64::decanon(r)?,
-            profile_builds: u64::decanon(r)?,
-            profile_hits: u64::decanon(r)?,
-            c_text_builds: u64::decanon(r)?,
-            c_text_hits: u64::decanon(r)?,
-            synthesis_builds: u64::decanon(r)?,
-            synthesis_hits: u64::decanon(r)?,
-            build_failures: u64::decanon(r)?,
-            disk: DiskStats::decanon(r)?,
-        })
-    }
-}
+bsg_ir::canon_codec!(struct StoreStats {
+    compiled_builds,
+    compiled_hits,
+    profile_builds,
+    profile_hits,
+    c_text_builds,
+    c_text_hits,
+    synthesis_builds,
+    synthesis_hits,
+    build_failures,
+    disk,
+});
 
 /// The thread-safe, content-addressed artifact cache (see the module docs).
 pub struct ArtifactStore {
