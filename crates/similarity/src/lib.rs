@@ -55,17 +55,26 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Tokenizes C source into a normalized token stream (identifiers and
-/// literals collapsed, comments and preprocessor lines dropped).
+/// literals collapsed; preprocessor lines, `//` comments and `/* */`
+/// comments dropped).
 pub fn tokenize(source: &str) -> Vec<Token> {
     let mut tokens = Vec::new();
+    // Inside a `/* */` comment, which may span lines.
+    let mut in_comment = false;
     for line in source.lines() {
         let line = line.trim();
-        if line.starts_with('#') || line.starts_with("//") {
+        if !in_comment && line.starts_with('#') {
             continue;
         }
         let mut chars = line.chars().peekable();
         while let Some(&c) = chars.peek() {
-            if c.is_whitespace() {
+            if in_comment {
+                chars.next();
+                if c == '*' && chars.peek() == Some(&'/') {
+                    chars.next();
+                    in_comment = false;
+                }
+            } else if c.is_whitespace() {
                 chars.next();
             } else if c.is_ascii_alphabetic() || c == '_' {
                 let mut word = String::new();
@@ -93,16 +102,30 @@ pub fn tokenize(source: &str) -> Vec<Token> {
                 tokens.push(Token::Number);
             } else if c == '"' {
                 chars.next();
-                for c in chars.by_ref() {
-                    if c == '"' {
-                        break;
+                while let Some(c) = chars.next() {
+                    match c {
+                        // An escaped character never ends the literal.
+                        '\\' => {
+                            chars.next();
+                        }
+                        '"' => break,
+                        _ => {}
                     }
                 }
                 tokens.push(Token::Number); // string literals normalize like data
             } else {
+                chars.next();
+                match (c, chars.peek()) {
+                    ('/', Some('/')) => break,
+                    ('/', Some('*')) => {
+                        chars.next();
+                        in_comment = true;
+                        continue;
+                    }
+                    _ => {}
+                }
                 let mut sym = String::new();
                 sym.push(c);
-                chars.next();
                 // Two-character operators stay together so `<=`, `==`, `++` count as one token.
                 if let Some(&n) = chars.peek() {
                     if matches!(
@@ -129,8 +152,10 @@ pub fn tokenize(source: &str) -> Vec<Token> {
     tokens
 }
 
-fn hash_tokens(tokens: &[Token]) -> Vec<u64> {
-    tokens
+/// The normalized token stream of `source`, one hash per token: the input
+/// both detectors work on.
+pub fn token_hashes(source: &str) -> Vec<u64> {
+    tokenize(source)
         .iter()
         .map(|t| {
             use std::collections::hash_map::DefaultHasher;
@@ -142,40 +167,53 @@ fn hash_tokens(tokens: &[Token]) -> Vec<u64> {
         .collect()
 }
 
-/// Moss-style winnowing fingerprints: hash every `k`-gram of the token
-/// stream, then keep the minimum hash of every window of `w` consecutive
-/// k-grams.
-pub fn winnow_fingerprints(source: &str, k: usize, w: usize) -> HashSet<u64> {
-    let hashes = hash_tokens(&tokenize(source));
-    if hashes.len() < k {
-        return hashes.into_iter().collect();
-    }
-    let kgrams: Vec<u64> = hashes
+/// One hash per `k`-gram of a hashed token stream (none when the stream is
+/// shorter than `k`).
+fn kgram_hashes(hashes: &[u64], k: usize) -> Vec<u64> {
+    hashes
         .windows(k)
         .map(|win| {
             win.iter().fold(0xcbf29ce484222325u64, |acc, h| {
                 (acc ^ h).wrapping_mul(0x100000001b3)
             })
         })
-        .collect();
-    let mut prints = HashSet::new();
-    if kgrams.len() <= w {
-        prints.extend(kgrams.iter().copied());
-        return prints;
-    }
-    for win in kgrams.windows(w) {
-        if let Some(min) = win.iter().min() {
-            prints.insert(*min);
-        }
-    }
-    prints
+        .collect()
 }
 
-/// Moss-style similarity: containment of the smaller fingerprint set within
-/// the larger one, in `[0, 1]`.
-pub fn moss_similarity(a: &str, b: &str) -> f64 {
-    let fa = winnow_fingerprints(a, 5, 4);
-    let fb = winnow_fingerprints(b, 5, 4);
+/// Winnowing over a hashed token stream: the minimum of every window of
+/// `w` consecutive `k`-gram hashes.
+fn winnow(hashes: &[u64], k: usize, w: usize) -> HashSet<u64> {
+    if hashes.len() < k {
+        return hashes.iter().copied().collect();
+    }
+    let kgrams = kgram_hashes(hashes, k);
+    if kgrams.len() <= w {
+        return kgrams.into_iter().collect();
+    }
+    kgrams
+        .windows(w)
+        .filter_map(|win| win.iter().min().copied())
+        .collect()
+}
+
+/// Moss-style winnowing fingerprints: hash every `k`-gram of the token
+/// stream, then keep the minimum hash of every window of `w` consecutive
+/// k-grams.
+pub fn winnow_fingerprints(source: &str, k: usize, w: usize) -> HashSet<u64> {
+    winnow(&token_hashes(source), k, w)
+}
+
+/// Moss `k`-gram length, in tokens.
+const MOSS_K: usize = 5;
+/// Moss winnowing window, in `k`-grams.
+const MOSS_W: usize = 4;
+/// JPlag's conventional minimum match length, in tokens.
+const JPLAG_MIN_MATCH: usize = 9;
+
+/// Moss containment of two hashed token streams.
+fn moss_of(ta: &[u64], tb: &[u64]) -> f64 {
+    let fa = winnow(ta, MOSS_K, MOSS_W);
+    let fb = winnow(tb, MOSS_K, MOSS_W);
     if fa.is_empty() || fb.is_empty() {
         return 0.0;
     }
@@ -183,28 +221,64 @@ pub fn moss_similarity(a: &str, b: &str) -> f64 {
     shared / fa.len().min(fb.len()) as f64
 }
 
-/// JPlag-style similarity: greedy string tiling over the normalized token
-/// streams with the given minimum match length; returns the fraction of the
-/// smaller stream covered by shared tiles.
-pub fn greedy_string_tiling(a: &str, b: &str, min_match: usize) -> f64 {
-    let ta = hash_tokens(&tokenize(a));
-    let tb = hash_tokens(&tokenize(b));
+/// Moss-style similarity: containment of the smaller fingerprint set within
+/// the larger one, in `[0, 1]`.
+pub fn moss_similarity(a: &str, b: &str) -> f64 {
+    moss_of(&token_hashes(a), &token_hashes(b))
+}
+
+/// Greedy string tiling over two hashed token streams: the fraction of the
+/// shorter stream covered by tiles of at least `min_match` tokens.
+fn tile_coverage(ta: &[u64], tb: &[u64], min_match: usize) -> f64 {
     if ta.is_empty() || tb.is_empty() {
         return 0.0;
     }
+    tiled_tokens(ta, tb, min_match.max(1)) as f64 / ta.len().min(tb.len()) as f64
+}
+
+/// The number of tokens greedy string tiling covers with tiles of at least
+/// `k` tokens (`k >= 1`).
+///
+/// Each pass marks the longest common substring of unmarked tokens, the
+/// first one in (i ascending, j ascending) order on ties, until none is `k`
+/// tokens long.  A match of length `l >= k` at (i, j) starts with the same
+/// `k`-gram on both sides, so a pass only visits the pairs whose `k`-grams
+/// hash equal: the positions of `tb` are indexed once by `k`-gram hash.
+/// The visited pairs come in the same (i, j) order as in a scan of all
+/// n·m pairs, and every pair left out is shorter than `k`, so each pass
+/// picks the same tile as that scan.
+fn tiled_tokens(ta: &[u64], tb: &[u64], k: usize) -> usize {
+    // `(hash, j)` for every k-gram of `tb`, sorted: the positions sharing
+    // one hash form a run, in ascending order.
+    let mut index: Vec<(u64, usize)> = kgram_hashes(tb, k)
+        .into_iter()
+        .enumerate()
+        .map(|(j, h)| (h, j))
+        .collect();
+    index.sort_unstable();
+    // `(i, run start, run end)` for every position of `ta` whose k-gram
+    // hash occurs in `tb`, in ascending i.
+    let seeds: Vec<(usize, usize, usize)> = kgram_hashes(ta, k)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, h)| {
+            let lo = index.partition_point(|&(g, _)| g < h);
+            let hi = index.partition_point(|&(g, _)| g <= h);
+            (lo < hi).then_some((i, lo, hi))
+        })
+        .collect();
     let mut marked_a = vec![false; ta.len()];
     let mut marked_b = vec![false; tb.len()];
-    let mut covered = 0usize;
+    let mut covered = 0;
     loop {
-        // Find the longest unmarked common substring.
-        let mut best_len = 0usize;
-        let mut best: Option<(usize, usize)> = None;
-        for i in 0..ta.len() {
+        let mut best_len = 0;
+        let mut best = (0, 0);
+        for &(i, lo, hi) in &seeds {
             if marked_a[i] {
                 continue;
             }
-            for j in 0..tb.len() {
-                if marked_b[j] || ta[i] != tb[j] {
+            for &(_, j) in &index[lo..hi] {
+                if marked_b[j] {
                     continue;
                 }
                 let mut l = 0;
@@ -218,26 +292,30 @@ pub fn greedy_string_tiling(a: &str, b: &str, min_match: usize) -> f64 {
                 }
                 if l > best_len {
                     best_len = l;
-                    best = Some((i, j));
+                    best = (i, j);
                 }
             }
         }
-        if best_len < min_match.max(1) {
-            break;
+        if best_len < k {
+            return covered;
         }
-        let (i, j) = best.expect("a best match exists when best_len > 0");
-        for o in 0..best_len {
-            marked_a[i + o] = true;
-            marked_b[j + o] = true;
-        }
+        let (i, j) = best;
+        marked_a[i..i + best_len].fill(true);
+        marked_b[j..j + best_len].fill(true);
         covered += best_len;
     }
-    covered as f64 / ta.len().min(tb.len()) as f64
+}
+
+/// JPlag-style similarity: greedy string tiling over the normalized token
+/// streams with the given minimum match length; returns the fraction of the
+/// smaller stream covered by shared tiles.
+pub fn greedy_string_tiling(a: &str, b: &str, min_match: usize) -> f64 {
+    tile_coverage(&token_hashes(a), &token_hashes(b), min_match)
 }
 
 /// JPlag-style similarity with the conventional minimum match length of 9 tokens.
 pub fn jplag_similarity(a: &str, b: &str) -> f64 {
-    greedy_string_tiling(a, b, 9)
+    greedy_string_tiling(a, b, JPLAG_MIN_MATCH)
 }
 
 /// A combined similarity report between an original workload and its clone.
@@ -251,10 +329,13 @@ pub struct SimilarityReport {
 
 impl SimilarityReport {
     /// Compares two C source files with both detectors.
+    ///
+    /// Each source is tokenized and hashed once, for both detectors.
     pub fn compare(original: &str, synthetic: &str) -> Self {
+        let (a, b) = (token_hashes(original), token_hashes(synthetic));
         SimilarityReport {
-            moss: moss_similarity(original, synthetic),
-            jplag: jplag_similarity(original, synthetic),
+            moss: moss_of(&a, &b),
+            jplag: tile_coverage(&a, &b, JPLAG_MIN_MATCH),
         }
     }
 
@@ -267,8 +348,13 @@ impl SimilarityReport {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     const PROGRAM_A: &str = r#"
 int fib(int n) {
@@ -361,5 +447,136 @@ int f(void) {
         assert_eq!(moss_similarity("", PROGRAM_A), 0.0);
         assert_eq!(jplag_similarity("", ""), 0.0);
         assert_eq!(greedy_string_tiling(PROGRAM_A, PROGRAM_A, 1_000_000), 0.0);
+    }
+
+    #[test]
+    fn tokenizer_drops_trailing_line_comments() {
+        assert_eq!(tokenize("x = 1; // y = 2; z = 3;"), tokenize("x = 1;"));
+        assert_eq!(tokenize("// whole line\nx = 1;"), tokenize("x = 1;"));
+        assert_eq!(tokenize("x = a / b;").len(), 6, "division stays a symbol");
+    }
+
+    #[test]
+    fn tokenizer_drops_block_comments_across_lines() {
+        assert_eq!(tokenize("x /* y = 2; */ = 1;"), tokenize("x = 1;"));
+        assert_eq!(
+            tokenize("x = 1; /* one\n  #define two\n  three; */ y = 2;"),
+            tokenize("x = 1; y = 2;")
+        );
+        assert_eq!(tokenize("/*/ still a comment */ x;"), tokenize("x;"));
+        assert_eq!(tokenize("/* unterminated\nx = 1;"), Vec::new());
+    }
+
+    #[test]
+    fn tokenizer_keeps_escaped_quotes_inside_string_literals() {
+        assert_eq!(
+            tokenize(r#"printf("say \"hi\" ; x = 1;"); y = 2;"#),
+            tokenize(r#"printf("s"); y = 2;"#)
+        );
+        assert_eq!(tokenize(r#"s = "a\\"; t;"#), tokenize(r#"s = "a"; t;"#));
+    }
+
+    /// A random stream over `alphabet` symbols, or (when `motif` is set) a
+    /// short random motif repeated with occasional substitutions.
+    fn stream(rng: &mut SmallRng, len: usize, alphabet: u64, motif: bool) -> Vec<u64> {
+        if !motif {
+            return (0..len).map(|_| rng.gen_range(0..alphabet)).collect();
+        }
+        let pattern: Vec<u64> = (0..rng.gen_range(1..7))
+            .map(|_| rng.gen_range(0..alphabet))
+            .collect();
+        (0..len)
+            .map(|p| {
+                if rng.gen_bool(1.0 / 16.0) {
+                    rng.gen_range(0..alphabet)
+                } else {
+                    pattern[p % pattern.len()]
+                }
+            })
+            .collect()
+    }
+
+    fn assert_tiling_matches_scan(ta: &[u64], tb: &[u64], min_match: usize) {
+        let seeded = tile_coverage(ta, tb, min_match);
+        let scanned = oracle::scan_coverage(ta, tb, min_match);
+        assert_eq!(
+            seeded.to_bits(),
+            scanned.to_bits(),
+            "min_match {min_match}: seeded {seeded} vs scan {scanned}\na = {ta:?}\nb = {tb:?}"
+        );
+    }
+
+    const MIN_MATCHES: [usize; 4] = [1, 2, 9, 1_000_000];
+
+    #[test]
+    fn seeded_tiling_matches_the_full_scan_on_random_streams() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        for case in 0..240 {
+            let alphabet = [1, 2, 3, 4, 8, 64][case % 6];
+            let motif = case % 4 == 3;
+            let la = rng.gen_range(0..120);
+            let lb = rng.gen_range(0..120);
+            let ta = stream(&mut rng, la, alphabet, motif);
+            let tb = if case % 5 == 0 {
+                // A mutated copy of `ta`: long shared runs, many ties.
+                ta.iter()
+                    .map(|&t| {
+                        if rng.gen_bool(0.1) {
+                            rng.gen_range(0..alphabet)
+                        } else {
+                            t
+                        }
+                    })
+                    .collect()
+            } else {
+                stream(&mut rng, lb, alphabet, motif)
+            };
+            for k in MIN_MATCHES {
+                assert_tiling_matches_scan(&ta, &tb, k);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_tiling_matches_the_full_scan_on_empty_and_short_inputs() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let short: Vec<u64> = (0..8).map(|_| rng.gen_range(0..2)).collect();
+        let long: Vec<u64> = (0..40).map(|_| rng.gen_range(0..2)).collect();
+        for (ta, tb) in [
+            (&[][..], &[][..]),
+            (&[][..], &long[..]),
+            (&long[..], &[][..]),
+            (&short[..], &long[..]),
+            (&long[..], &short[..]),
+            (&short[..], &short[..]),
+            (&long[..8], &long[..]),
+        ] {
+            for k in MIN_MATCHES {
+                assert_tiling_matches_scan(ta, tb, k);
+            }
+        }
+        assert_eq!(tile_coverage(&short, &short, 9), 0.0, "shorter than k");
+    }
+
+    #[test]
+    fn seeded_tiling_matches_the_full_scan_on_the_example_programs() {
+        let programs = [PROGRAM_A, PROGRAM_A_RENAMED, PROGRAM_B];
+        for a in programs {
+            for b in programs {
+                let (ta, tb) = (token_hashes(a), token_hashes(b));
+                for k in MIN_MATCHES {
+                    assert_tiling_matches_scan(&ta, &tb, k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compare_equals_the_per_detector_functions() {
+        for (a, b) in [(PROGRAM_A, PROGRAM_B), (PROGRAM_A, PROGRAM_A_RENAMED)] {
+            let report = SimilarityReport::compare(a, b);
+            assert_eq!(report.moss.to_bits(), moss_similarity(a, b).to_bits());
+            assert_eq!(report.jplag.to_bits(), jplag_similarity(a, b).to_bits());
+        }
     }
 }

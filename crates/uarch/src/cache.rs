@@ -31,7 +31,9 @@ impl CacheConfig {
         }
     }
 
-    /// Number of sets.
+    /// Number of sets: the capacity over the bytes of one set, so the
+    /// simulated cache holds exactly the configured number of lines (the
+    /// set count need not be a power of two).
     ///
     /// # Panics
     ///
@@ -44,7 +46,7 @@ impl CacheConfig {
         );
         let sets = self.size_bytes / (self.line_bytes * self.associativity);
         assert!(sets > 0, "cache smaller than one way");
-        sets.next_power_of_two()
+        sets
     }
 }
 
@@ -86,35 +88,50 @@ impl CacheStats {
 }
 
 /// A set-associative LRU cache.
+///
+/// The tag store is one flat array of `sets × ways` line numbers.  Each
+/// set's slice keeps its resident lines in recency order, most recently
+/// used first, and `fill[set]` counts how many of them are valid.  An access
+/// probes the MRU way first: a hit there changes nothing but the stats.  A
+/// hit further down, or a miss, rotates the set's slice by one so the line
+/// lands in way 0; a miss in a full set drops the last (LRU) way.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets[set]` holds up to `associativity` tags, most recently used last.
-    sets: Vec<Vec<u64>>,
+    /// Line numbers, `ways` per set, most recently used first.  The whole
+    /// line number is the tag, so it needs no set bits stripped.
+    tags: Vec<u64>,
+    /// Valid ways per set; way `w` of a set is valid iff `w < fill[set]`.
+    fill: Vec<u32>,
+    ways: usize,
     stats: CacheStats,
     /// `log2(line_bytes)` when the line size is a power of two (it always is
     /// for the paper's configurations); avoids a 64-bit division per access.
     line_shift: Option<u32>,
-    /// `sets.len() - 1`; the set count is always a power of two.
-    set_mask: u64,
-    set_shift: u32,
+    sets: u64,
+    /// `sets - 1` when the set count is a power of two; otherwise lines are
+    /// mapped to sets by `line % sets`.
+    set_mask: Option<u64>,
 }
 
 impl Cache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
+        let ways = config.associativity as usize;
         let line_shift = config
             .line_bytes
             .is_power_of_two()
             .then(|| config.line_bytes.trailing_zeros());
         Cache {
             config,
-            sets: vec![Vec::new(); sets as usize],
+            tags: vec![0; sets as usize * ways],
+            fill: vec![0; sets as usize],
+            ways,
             stats: CacheStats::default(),
             line_shift,
-            set_mask: sets - 1,
-            set_shift: sets.trailing_zeros(),
+            sets,
+            set_mask: sets.is_power_of_two().then_some(sets - 1),
         }
     }
 
@@ -126,27 +143,36 @@ impl Cache {
     /// Accesses `addr` (byte address); returns `true` on a hit.  Writes are
     /// modeled as write-allocate, so reads and writes behave identically for
     /// hit-rate purposes.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let line = match self.line_shift {
             Some(shift) => addr >> shift,
             None => addr / self.config.line_bytes,
         };
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_shift;
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            ways.remove(pos);
-            ways.push(tag);
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        } as usize;
+        let base = set * self.ways;
+        let fill = self.fill[set] as usize;
+        let ways = &mut self.tags[base..base + self.ways];
+        if fill > 0 && ways[0] == line {
             self.stats.hits += 1;
-            true
-        } else {
-            if ways.len() as u64 >= self.config.associativity {
-                ways.remove(0);
-            }
-            ways.push(tag);
-            false
+            return true;
         }
+        let found = ways[..fill].iter().position(|&t| t == line);
+        // The way whose slot the line takes: its own on a hit, else the
+        // first empty way, else the LRU way of a full set.
+        let end = found.unwrap_or(fill.min(self.ways - 1));
+        if found.is_none() && fill < self.ways {
+            self.fill[set] += 1;
+        }
+        ways.copy_within(0..end, 1);
+        ways[0] = line;
+        let hit = found.is_some();
+        self.stats.hits += u64::from(hit);
+        hit
     }
 
     /// Accumulated statistics.
@@ -156,9 +182,7 @@ impl Cache {
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.fill.fill(0);
         self.stats = CacheStats::default();
     }
 }
@@ -352,5 +376,161 @@ mod tests {
         let s = CacheStats::default();
         assert_eq!(s.hit_rate(), 1.0);
         assert_eq!(s.miss_rate(), 0.0);
+    }
+
+    #[test]
+    fn a_24kb_4way_cache_holds_exactly_768_lines() {
+        let cfg = CacheConfig {
+            size_bytes: 24 * 1024,
+            line_bytes: 32,
+            associativity: 4,
+        };
+        assert_eq!(cfg.sets(), 192, "the set count is not rounded up");
+        let mut c = Cache::new(cfg);
+        let lines = |n: u64| (0..n).map(|l| l * 32);
+        lines(768).for_each(|a| {
+            c.access(a);
+        });
+        assert!(lines(768).all(|a| c.access(a)), "768 lines fit");
+        // A 32 KB cache (the old rounded-up set count) would hold 1024.
+        c.reset();
+        lines(1024).for_each(|a| {
+            c.access(a);
+        });
+        assert!(!lines(1024).all(|a| c.access(a)), "1024 lines do not fit");
+    }
+
+    /// The per-set `Vec` LRU the flat tag store replaced: each set holds up
+    /// to `associativity` tags, most recently used last.
+    struct ReferenceLru {
+        associativity: usize,
+        line_bytes: u64,
+        sets: Vec<Vec<u64>>,
+        stats: CacheStats,
+    }
+
+    impl ReferenceLru {
+        fn new(config: CacheConfig) -> Self {
+            ReferenceLru {
+                associativity: config.associativity as usize,
+                line_bytes: config.line_bytes,
+                sets: vec![Vec::new(); config.sets() as usize],
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.stats.accesses += 1;
+            let line = addr / self.line_bytes;
+            let nsets = self.sets.len() as u64;
+            let tag = line / nsets;
+            let ways = &mut self.sets[(line % nsets) as usize];
+            if let Some(pos) = ways.iter().position(|&t| t == tag) {
+                ways.remove(pos);
+                ways.push(tag);
+                self.stats.hits += 1;
+                true
+            } else {
+                if ways.len() >= self.associativity {
+                    ways.remove(0);
+                }
+                ways.push(tag);
+                false
+            }
+        }
+
+        fn reset(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+            self.stats = CacheStats::default();
+        }
+    }
+
+    /// A seeded address stream mixing a hot region, strided walks and
+    /// random far accesses, so sets see hits at every recency depth.
+    fn address_stream(seed: u64, len: usize) -> Vec<u64> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut walk = 0u64;
+        (0..len)
+            .map(|_| match rng.gen_range(0u32..4) {
+                0 => rng.gen_range(0u64..2048),
+                1 => {
+                    walk = (walk + 24) % (96 * 1024);
+                    0x10000 + walk
+                }
+                2 => rng.gen_range(0u64..64 * 1024),
+                _ => rng.gen_range(0u64..1 << 24),
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(config: CacheConfig, seed: u64) {
+        let stream = address_stream(seed, 6000);
+        let mut flat = Cache::new(config);
+        let mut reference = ReferenceLru::new(config);
+        for (n, &addr) in stream.iter().enumerate() {
+            if n == 3500 {
+                flat.reset();
+                reference.reset();
+            }
+            assert_eq!(
+                flat.access(addr),
+                reference.access(addr),
+                "{config} access {n} to {addr:#x}"
+            );
+        }
+        assert_eq!(flat.stats(), reference.stats);
+    }
+
+    #[test]
+    fn flat_cache_matches_the_reference_lru() {
+        for (seed, associativity) in [1u64, 2, 4, 8, 16].into_iter().enumerate() {
+            for (size_bytes, line_bytes) in [
+                (1024, 32),
+                (4096, 64),
+                // 24 sets of 32-byte lines: a set count that is not a power of two.
+                (768 * associativity, 32),
+                // 48-byte lines take the division path for the line number.
+                (48 * 16 * associativity, 48),
+                (3 * 48 * associativity, 48),
+            ] {
+                let config = CacheConfig {
+                    size_bytes,
+                    line_bytes,
+                    associativity,
+                };
+                assert_matches_reference(config, seed as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn more_ways_never_add_misses_at_a_fixed_set_count() {
+        // Mattson stack inclusion per set: with the set mapping fixed, an
+        // LRU set of w + 1 ways always holds what a set of w ways holds.
+        for sets in [1u64, 16, 24] {
+            for seed in 0..4 {
+                let stream = address_stream(100 + seed, 5000);
+                let misses: Vec<u64> = [1u64, 2, 4, 8, 16]
+                    .iter()
+                    .map(|&ways| {
+                        let mut c = Cache::new(CacheConfig {
+                            size_bytes: sets * ways * 32,
+                            line_bytes: 32,
+                            associativity: ways,
+                        });
+                        stream.iter().for_each(|&a| {
+                            c.access(a);
+                        });
+                        c.stats().accesses - c.stats().hits
+                    })
+                    .collect();
+                assert!(
+                    misses.windows(2).all(|w| w[1] <= w[0]),
+                    "{sets} sets, seed {seed}: misses by ways {misses:?}"
+                );
+            }
+        }
     }
 }
