@@ -10,12 +10,16 @@
 //! programs and predecoded images come out of the artifact store).  Pass
 //! `--assert-null-speedup <x>` to fail (exit 1) when the fused engine's
 //! `NullObserver` speedup over the legacy engine drops below `x` — CI uses
-//! this as a throughput-regression tripwire.  Pass `--machine-axis` to also
-//! time the Table III machine sweep both ways — one scalar `simulate_image`
+//! this as a throughput-regression tripwire; `--assert-pipeline-speedup <x>`
+//! does the same for the timing core (`pipeline/fused` over
+//! `pipeline/legacy`).  The `pipeline/fused` and `pipeline/predecoded` rows
+//! time the production timing core on each image as given; `pipeline/legacy`
+//! is the reference model on the legacy engine.  Pass `--machine-axis` to
+//! also time the Table III machine sweep both ways — one `simulate_image`
 //! per machine versus one batched `simulate_image_batch` execution — after
-//! asserting per-lane bit-parity between the two; `--assert-batched-speedup
-//! <x>` (implies `--machine-axis`) fails the run when the batched sweep's
-//! speedup drops below `x`.  Pass `--workers N` to pin the scheduler width
+//! asserting per-lane bit-parity with the reference model;
+//! `--assert-batched-speedup <x>` (implies `--machine-axis`) fails the run
+//! when the batched sweep's speedup drops below `x`.  Pass `--workers N` to pin the scheduler width
 //! used during preparation (same validation as `BSG_RUNTIME_WORKERS`).
 //!
 //! Preparation (compiling the suite and predecoding images) fans out through
@@ -36,11 +40,11 @@ use bsg_ir::types::Ty;
 use bsg_ir::visa::{Address, BinOp, Inst, Operand, Terminator};
 use bsg_profile::{profile_image, profile_program_reference, ProfileConfig};
 use bsg_runtime::{ArtifactStore, CompiledArtifact, Runtime};
-use bsg_uarch::batch::simulate_image_batch;
+use bsg_uarch::batch::{simulate_configs, simulate_image_batch};
 use bsg_uarch::exec::{execute_image, execute_legacy, ExecConfig, NullObserver};
 use bsg_uarch::image::ExecImage;
 use bsg_uarch::machine::MachineConfig;
-use bsg_uarch::pipeline::{simulate_image, PipelineConfig, PipelineSim, ReferencePipelineSim};
+use bsg_uarch::pipeline::{simulate_image, PipelineConfig, ReferencePipelineSim};
 use bsg_workloads::{suite, InputSize};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -158,6 +162,14 @@ fn main() {
                 .and_then(|v| v.parse().ok())
                 .expect("--assert-batched-speedup needs a numeric argument")
         });
+    let assert_pipeline_speedup: Option<f64> = args
+        .iter()
+        .position(|a| a == "--assert-pipeline-speedup")
+        .map(|i| {
+            args.get(i + 1)
+                .and_then(|v| v.parse().ok())
+                .expect("--assert-pipeline-speedup needs a numeric argument")
+        });
     let machine_axis =
         args.iter().any(|a| a == "--machine-axis") || assert_batched_speedup.is_some();
     let limit = ExecConfig {
@@ -242,6 +254,7 @@ fn main() {
     push("null/legacy", null_legacy.clone());
 
     // --- Pipeline timing model as the observer. ---------------------------
+    // The production timing core (a one-lane run) on each image as given.
     let pipe = PipelineConfig::ptlsim_2wide(16);
     push(
         "pipeline/fused",
@@ -249,9 +262,7 @@ fn main() {
             .iter()
             .map(|image| {
                 best_of(passes, || {
-                    let mut sim = PipelineSim::from_image(pipe, image);
-                    execute_image(image, &mut sim, &limit);
-                    sim.result().instructions
+                    simulate_configs(image, &[pipe], &limit)[0].instructions
                 })
             })
             .collect(),
@@ -262,9 +273,7 @@ fn main() {
             .iter()
             .map(|image| {
                 best_of(passes, || {
-                    let mut sim = PipelineSim::from_image(pipe, image);
-                    execute_image(image, &mut sim, &limit);
-                    sim.result().instructions
+                    simulate_configs(image, &[pipe], &limit)[0].instructions
                 })
             })
             .collect(),
@@ -324,20 +333,26 @@ fn main() {
             .collect(),
     );
 
-    // --- Machine-axis sweep: scalar per-machine vs one batched execution. --
+    // --- Machine-axis sweep: one run per machine vs one batched execution.
     // This is the unit of work a Figure 11 grid task performs per (workload,
-    // level) cell: the full Table III roster over one image.  Parity is
-    // asserted before anything is timed — a fast wrong answer is not a win.
+    // level) cell: the full Table III roster over one image.  Parity with the
+    // reference model is asserted before anything is timed — a fast wrong
+    // answer is not a win.
     let machine_axis_result: Option<(f64, f64, f64)> = machine_axis.then(|| {
         let machines = MachineConfig::table3();
         let configs: Vec<PipelineConfig> = machines.iter().map(|m| m.pipeline).collect();
         let suite_images: Vec<&ExecImage> = compiled.iter().map(|(_, art, _)| &art.image).collect();
-        for image in &suite_images {
-            for (c, lane) in configs.iter().zip(simulate_image_batch(image, &configs)) {
+        for (_, art, _) in &compiled {
+            for (c, lane) in configs
+                .iter()
+                .zip(simulate_image_batch(&art.image, &configs))
+            {
+                let mut reference = ReferencePipelineSim::new(*c, &art.program);
+                execute_legacy(&art.program, &mut reference, &ExecConfig::default());
                 assert_eq!(
                     lane,
-                    simulate_image(image, *c),
-                    "batched lane diverged from scalar simulate_image"
+                    reference.result(),
+                    "batched lane diverged from the reference model"
                 );
             }
         }
@@ -521,6 +536,15 @@ fn main() {
             std::process::exit(1);
         }
         println!("null/fused speedup {null_fx:.2}x meets the {floor:.2}x floor");
+    }
+    if let Some(floor) = assert_pipeline_speedup {
+        if pipe_fx < floor {
+            eprintln!(
+                "FAIL: pipeline/fused speedup {pipe_fx:.2}x is below the required floor {floor:.2}x"
+            );
+            std::process::exit(1);
+        }
+        println!("pipeline/fused speedup {pipe_fx:.2}x meets the {floor:.2}x floor");
     }
     if let Some(floor) = assert_batched_speedup {
         let measured = machine_axis_result

@@ -5,8 +5,10 @@
 
 use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
 use bsg_profile::{profile_program, profile_program_reference, ProfileConfig};
+use bsg_uarch::batch::simulate_configs;
 use bsg_uarch::exec::{execute, execute_dyn, execute_legacy, ExecConfig, NullObserver};
-use bsg_uarch::pipeline::{PipelineConfig, PipelineSim, ReferencePipelineSim};
+use bsg_uarch::image::ExecImage;
+use bsg_uarch::pipeline::{PipelineConfig, ReferencePipelineSim};
 use bsg_workloads::{suite, InputSize};
 
 fn limit() -> ExecConfig {
@@ -37,17 +39,12 @@ fn pipeline_results_match_across_the_suite() {
     for w in suite(InputSize::Small) {
         let compiled = compile(&w.program, &CompileOptions::portable(OptLevel::O0)).unwrap();
         let config = PipelineConfig::ptlsim_2wide(16);
-        let mut new_sim = PipelineSim::new(config, &compiled.program);
+        let image = ExecImage::new(&compiled.program);
+        let new = simulate_configs(&image, &[config], &limit())[0];
         let mut old_sim = ReferencePipelineSim::new(config, &compiled.program);
-        execute(&compiled.program, &mut new_sim, &limit());
         execute_legacy(&compiled.program, &mut old_sim, &limit());
-        assert_eq!(
-            new_sim.result(),
-            old_sim.result(),
-            "{} pipeline diverges",
-            w.name
-        );
-        assert!(new_sim.result().instructions > 0);
+        assert_eq!(new, old_sim.result(), "{} pipeline diverges", w.name);
+        assert!(new.instructions > 0);
     }
 }
 

@@ -1,26 +1,43 @@
-//! Batched multi-config pipeline simulation: one functional execution
-//! drives the timing models of **all** machine configurations at once.
+//! The pipeline timing core: one functional execution drives the timing
+//! models of one or more machine configurations at once.
 //!
-//! The paper's machine-axis experiments (Figure 11, Table III) form a grid —
-//! workloads × optimization levels × machines — and the scalar path replays
-//! the identical dynamic instruction stream once per machine.  The batched
-//! model exploits that the instruction stream does not depend on the machine
-//! config: [`BatchedPipelineSim`] is an ordinary [`Observer`] (so it drops
+//! The paper's machine-axis experiments (Figure 11, Table III) and its
+//! cache-axis experiment (Figure 10) time one dynamic instruction stream
+//! under several pipeline configs.  The stream does not depend on the
+//! config, so the timing model here is an ordinary [`Observer`] (it drops
 //! into the monomorphized dispatch loop without touching `exec.rs`) that
-//! fans each retired instruction into structure-of-arrays per-lane state,
-//! one lane per *unique* [`PipelineConfig`].
+//! fans each retired instruction into per-lane state, one lane per
+//! *unique* [`PipelineConfig`].  A single config is simply a one-lane batch:
+//! [`crate::pipeline::simulate_image`] runs through the same code.
 //!
-//! # Lane layout and sharing
+//! # One lane loop, specialised by width
 //!
-//! Per-config scalars of [`PipelineSim`](crate::pipeline::PipelineSim)
-//! become per-lane arrays (`cycle`, `issued_in_cycle`, `last_complete`,
-//! `max_complete`, ring-buffer ROBs packed into one flat vector with
-//! per-lane offsets).  `reg_ready` becomes a flat `reg × nlanes` array so
-//! the per-lane inner loop over one register's slots walks adjacent memory.
-//! Three layers of state are *shared* rather than replicated, each justified
-//! by a bit-parity argument (and proven by the differential suite):
+//! The observer is generic over the lane count `N`: every per-config scalar
+//! of the model is an `[T; N]` column, `reg_ready` is a `Vec<[u64; N]>`
+//! (one register's lanes share a row), and the per-instruction loop is
+//! `for lane in 0..N`, which the compiler unrolls.  [`simulate_configs`]
+//! instantiates `N ∈ 1..=4` and runs more unique lanes in chunks of at most
+//! four (one functional execution per chunk), so no dynamic-width lane loop
+//! exists.
 //!
-//! * **Branch predictor and branch stats** — the scalar model always builds
+//! # The per-site table
+//!
+//! Each image's site metadata is flattened once per call into
+//! `SiteTiming` records: the class's base latency and the `reg_ready`
+//! rows an instruction reads and writes.  A use that is absent or names a
+//! register at or beyond the image's `max_regs` points at a *zero row* that
+//! nothing writes; a def that is absent or out of range points at a *sink
+//! row* that nothing reads.  Reading zero is neutral under `max` (ready
+//! times start at 0) and writing the sink is unobservable, so the table
+//! keeps the earlier `i < nregs` guards without a branch.
+//!
+//! # Sharing between lanes
+//!
+//! Three layers of state are shared rather than replicated, each justified
+//! by a bit-parity argument (and checked against the independent
+//! [`ReferencePipelineSim`](crate::pipeline::ReferencePipelineSim) oracle):
+//!
+//! * **Branch predictor and branch stats** — the model always builds
 //!   [`Hybrid::default_config()`] regardless of the pipeline config, and
 //!   predictor evolution depends only on the `(site_id, taken)` stream,
 //!   which is identical across lanes.  One predictor serves every lane; a
@@ -30,8 +47,7 @@
 //!   stream is identical); lanes with the same *(L1, L2)* pair share one L2
 //!   (the L2's access stream is the L1's miss stream, so sharing requires
 //!   the upstream L1 to match too).  Each unique cache is accessed exactly
-//!   once per memory operation — Table III's five machines touch two L1s
-//!   and four L2s instead of five of each.
+//!   once per memory operation.
 //! * **The instruction counter** — every lane times the same stream.
 //!
 //! Identical full configs collapse into one lane outright (Table III's two
@@ -43,242 +59,213 @@ use crate::branch::{BranchStats, Hybrid, Predictor};
 use crate::cache::{Cache, CacheConfig};
 use crate::exec::{execute_image, ExecConfig, InstEvent, InstSite, Observer};
 use crate::image::ExecImage;
-use crate::pipeline::{base_latency, PipelineConfig, PipelineResult, SiteInfo};
+use crate::pipeline::{base_latency, PipelineConfig, PipelineResult};
+use bsg_ir::types::Reg;
 
-/// Read-only per-lane configuration, denormalized out of [`PipelineConfig`]
-/// so the per-instruction loop reads one small `Copy` record per lane.
+/// Widest lane group one execution times; more unique configs run in
+/// chunks of this many.
+const MAX_LANES: usize = 4;
+
+/// Timing-relevant facts of one static instruction, flattened from its
+/// [`crate::image::SiteMeta`] (see the module docs for the row encoding).
 #[derive(Debug, Clone, Copy)]
-struct LaneCfg {
-    width: u32,
-    in_order: bool,
-    /// Ring capacity (`rob_size.max(1)`, matching the scalar model's guard).
-    rob_cap: usize,
-    /// This lane's ring's offset into the flat `rob` vector.
-    rob_off: usize,
-    l1_latency: u64,
-    l2_latency: u64,
-    mem_latency: u64,
-    mispredict_penalty: u64,
-    /// Index of the shared L1 this lane reads.
-    l1: usize,
-    /// Index of the shared L2 this lane reads.
-    l2: usize,
+struct SiteTiming {
+    /// Issue-to-complete latency before the memory hierarchy.
+    base: u64,
+    /// `reg_ready` rows read; the zero row for an absent or out-of-range use.
+    uses: [u32; 3],
+    /// `reg_ready` row written; the sink row for an absent or out-of-range def.
+    def: u32,
 }
 
-/// Memory-level outcome of one access, per unique L2: index 0 = L1 hit,
-/// 1 = L2 hit, 2 = memory.
-const LEVEL_L1: u8 = 0;
-const LEVEL_L2: u8 = 1;
+/// Builds the per-site table of `image`.  Rows `0..max_regs` are registers,
+/// row `max_regs` is the zero row and row `max_regs + 1` the sink row.
+fn site_table(image: &ExecImage) -> Vec<SiteTiming> {
+    let nregs = image.max_regs();
+    let (zero, sink) = (nregs, nregs + 1);
+    let row = |r: Option<Reg>, absent: u32| match r {
+        Some(r) if r.0 < nregs => r.0,
+        _ => absent,
+    };
+    image
+        .site_metas()
+        .iter()
+        .map(|m| SiteTiming {
+            base: base_latency(m.class),
+            uses: m.uses.map(|u| row(u, zero)),
+            def: row(m.def, sink),
+        })
+        .collect()
+}
 
-/// The batched multi-config timing model; an [`Observer`] like the scalar
-/// [`PipelineSim`](crate::pipeline::PipelineSim), but timing every config
-/// in one pass.  The design discussion's `BatchedObserver` — see the module
-/// docs for the lane layout.
-pub struct BatchedPipelineSim {
-    /// Maps each *input* config index to its unique lane.
-    lane_of: Vec<usize>,
-    lanes: Vec<LaneCfg>,
-    /// Indexed by dense site id (the image's site table order), shared by
-    /// every lane.
-    info: Vec<SiteInfo>,
-    /// Unique L1s / L2s (see module docs for the sharing rule).
+/// The unique caches of one lane group and the lanes' latency tables.
+struct Memory<const N: usize> {
+    /// Unique L1s.
     l1s: Vec<Cache>,
-    l2s: Vec<Cache>,
-    /// For each unique L2, the unique L1 whose miss stream feeds it.
-    l2_l1: Vec<usize>,
-    /// Scratch: per-unique-L1 hit flag for the access being classified.
-    l1_hit: Vec<bool>,
-    /// Scratch: per-unique-L2 memory level of the current *read* access.
-    mem_level: Vec<u8>,
-    predictor: Hybrid,
-    branch_stats: BranchStats,
-    /// Ready cycles, `reg * nlanes + lane` (SoA: one register's lanes are
-    /// adjacent).
-    reg_ready: Vec<u64>,
-    nregs: usize,
-    cycle: Vec<u64>,
-    issued_in_cycle: Vec<u32>,
-    /// All lanes' completion rings, packed back to back (`LaneCfg::rob_off`).
-    rob: Vec<u64>,
-    rob_pos: Vec<usize>,
-    rob_len: Vec<usize>,
-    last_complete: Vec<u64>,
-    max_complete: Vec<u64>,
-    instructions: u64,
+    /// Unique (L1, L2) pairs: the index of the upstream L1 and the L2.
+    l2s: Vec<(usize, Cache)>,
+    /// The unique L2 each lane reads.
+    lane_l2: [usize; N],
+    /// Per-lane `[l1, l2, mem]` load latency, indexed by memory level.
+    latency: [[u64; 3]; N],
 }
 
-impl BatchedPipelineSim {
-    /// Builds the batched model over `configs` for `image`, deduplicating
-    /// identical configs, L1s and (L1, L2) pairs into shared lanes/caches.
-    pub fn from_image(configs: &[PipelineConfig], image: &ExecImage) -> Self {
-        let mut unique: Vec<PipelineConfig> = Vec::new();
-        let lane_of: Vec<usize> = configs
-            .iter()
-            .map(|c| {
-                unique.iter().position(|u| u == c).unwrap_or_else(|| {
-                    unique.push(*c);
-                    unique.len() - 1
-                })
-            })
-            .collect();
-        let nlanes = unique.len();
-
+impl<const N: usize> Memory<N> {
+    fn new(configs: &[PipelineConfig; N]) -> Self {
         let mut l1_cfgs: Vec<CacheConfig> = Vec::new();
         let mut l2_keys: Vec<(usize, CacheConfig)> = Vec::new();
-        let mut lanes: Vec<LaneCfg> = Vec::with_capacity(nlanes);
-        let mut rob_off = 0usize;
-        for c in &unique {
-            let l1 = l1_cfgs.iter().position(|x| *x == c.l1).unwrap_or_else(|| {
-                l1_cfgs.push(c.l1);
-                l1_cfgs.len() - 1
-            });
-            let key = (l1, c.l2);
-            let l2 = l2_keys.iter().position(|x| *x == key).unwrap_or_else(|| {
-                l2_keys.push(key);
-                l2_keys.len() - 1
-            });
-            let rob_cap = c.rob_size.max(1);
-            lanes.push(LaneCfg {
-                width: c.width,
-                in_order: c.in_order,
-                rob_cap,
-                rob_off,
-                l1_latency: c.l1_latency,
-                l2_latency: c.l2_latency,
-                mem_latency: c.mem_latency,
-                mispredict_penalty: c.mispredict_penalty,
-                l1,
-                l2,
-            });
-            rob_off += rob_cap;
-        }
-
-        let info = image
-            .site_metas()
-            .iter()
-            .map(|m| SiteInfo {
-                def: m.def,
-                uses: m.uses,
-            })
-            .collect();
-        let nregs = image.max_regs() as usize;
-        BatchedPipelineSim {
-            lane_of,
-            info,
-            l1s: l1_cfgs.iter().map(|c| Cache::new(*c)).collect(),
-            l1_hit: vec![false; l1_cfgs.len()],
-            l2s: l2_keys.iter().map(|(_, c)| Cache::new(*c)).collect(),
-            mem_level: vec![0; l2_keys.len()],
-            l2_l1: l2_keys.iter().map(|(l1, _)| *l1).collect(),
-            predictor: Hybrid::default_config(),
-            branch_stats: BranchStats::default(),
-            reg_ready: vec![0; nregs * nlanes],
-            nregs,
-            cycle: vec![0; nlanes],
-            issued_in_cycle: vec![0; nlanes],
-            rob: vec![0; rob_off],
-            rob_pos: vec![0; nlanes],
-            rob_len: vec![0; nlanes],
-            last_complete: vec![0; nlanes],
-            max_complete: vec![0; nlanes],
-            instructions: 0,
-            lanes,
+        let lane_l2 = configs.map(|c| {
+            let l1 = position_or_push(&mut l1_cfgs, c.l1);
+            position_or_push(&mut l2_keys, (l1, c.l2))
+        });
+        Memory {
+            l1s: l1_cfgs.into_iter().map(Cache::new).collect(),
+            l2s: l2_keys
+                .into_iter()
+                .map(|(l1, c)| (l1, Cache::new(c)))
+                .collect(),
+            lane_l2,
+            latency: configs.map(|c| [c.l1_latency, c.l2_latency, c.mem_latency]),
         }
     }
 
-    /// Runs one address through every unique cache, in the same per-cache
-    /// order the scalar models see.  When `record` is set (reads) the
-    /// memory level lands in `mem_level`; writes update cache state and
-    /// stats only, exactly like the scalar write-buffer rule.
-    fn classify(&mut self, addr: u64, record: bool) {
-        for (hit, cache) in self.l1_hit.iter_mut().zip(self.l1s.iter_mut()) {
+    /// Runs one address through every unique cache and returns, per unique
+    /// L2, the level that served it: 0 = L1, 1 = L2, 2 = memory.
+    #[inline(always)]
+    fn access(&mut self, addr: u64) -> [usize; N] {
+        let mut l1_hit = [false; N];
+        for (hit, cache) in l1_hit.iter_mut().zip(&mut self.l1s) {
             *hit = cache.access(addr);
         }
-        for (j, cache) in self.l2s.iter_mut().enumerate() {
-            let level = if self.l1_hit[self.l2_l1[j]] {
-                LEVEL_L1
+        let mut level = [0; N];
+        for (level, (l1, cache)) in level.iter_mut().zip(&mut self.l2s) {
+            *level = if l1_hit[*l1] {
+                0
             } else if cache.access(addr) {
-                LEVEL_L2
+                1
             } else {
                 2
             };
-            if record {
-                self.mem_level[j] = level;
-            }
         }
+        level
     }
 
-    /// Per-input-config timing results, in the order the configs were given
-    /// (lane-deduplicated configs read the same lane).
-    pub fn results(&self) -> Vec<PipelineResult> {
-        self.lane_of
-            .iter()
-            .map(|&lane| PipelineResult {
-                cycles: self.max_complete[lane].max(self.cycle[lane]),
-                instructions: self.instructions,
-                branches: self.branch_stats,
-                l1: self.l1s[self.lanes[lane].l1].stats(),
-                l2: self.l2s[self.lanes[lane].l2].stats(),
-            })
-            .collect()
+    /// Per-lane latency of a read of `addr`.
+    fn read(&mut self, addr: u64) -> [u64; N] {
+        let level = self.access(addr);
+        std::array::from_fn(|lane| self.latency[lane][level[self.lane_l2[lane]]])
     }
 }
 
-impl Observer for BatchedPipelineSim {
-    fn on_inst(&mut self, event: &InstEvent) {
-        let info = self.info[event.site_id as usize];
-        self.instructions += 1;
-        let base = base_latency(event.class);
-        let has_read = event.mem_read.is_some();
-        if let Some(a) = event.mem_read {
-            self.classify(a, true);
+/// Index of `x` in `v`, pushing it first if absent.
+fn position_or_push<T: PartialEq>(v: &mut Vec<T>, x: T) -> usize {
+    v.iter().position(|y| *y == x).unwrap_or_else(|| {
+        v.push(x);
+        v.len() - 1
+    })
+}
+
+/// The timing model of `N` lanes over one image's site table.
+struct LaneSim<'s, const N: usize> {
+    sites: &'s [SiteTiming],
+    width: [u32; N],
+    in_order: [bool; N],
+    mispredict_penalty: [u64; N],
+    /// Ring capacity (`rob_size.max(1)`).
+    rob_cap: [usize; N],
+    /// Each lane's ring's offset into the flat `rob` vector.
+    rob_off: [usize; N],
+    memory: Memory<N>,
+    predictor: Hybrid,
+    branch_stats: BranchStats,
+    /// Ready cycle of every register per lane, plus the zero and sink rows.
+    reg_ready: Vec<[u64; N]>,
+    cycle: [u64; N],
+    issued_in_cycle: [u32; N],
+    /// All lanes' completion rings back to back.  A ring starts full of
+    /// zeros: a zero never delays issue, so a not-yet-full ring behaves like
+    /// a full one whose oldest entry has long completed.
+    rob: Vec<u64>,
+    /// Slot of each lane's oldest ring entry.
+    rob_pos: [usize; N],
+    last_complete: [u64; N],
+    max_complete: [u64; N],
+    instructions: u64,
+}
+
+impl<'s, const N: usize> LaneSim<'s, N> {
+    fn new(configs: &[PipelineConfig; N], sites: &'s [SiteTiming], nregs: usize) -> Self {
+        let rob_cap = configs.map(|c| c.rob_size.max(1));
+        let mut rob_len = 0;
+        let rob_off = rob_cap.map(|cap| {
+            rob_len += cap;
+            rob_len - cap
+        });
+        LaneSim {
+            sites,
+            width: configs.map(|c| c.width),
+            in_order: configs.map(|c| c.in_order),
+            mispredict_penalty: configs.map(|c| c.mispredict_penalty),
+            rob_cap,
+            rob_off,
+            memory: Memory::new(configs),
+            predictor: Hybrid::default_config(),
+            branch_stats: BranchStats::default(),
+            reg_ready: vec![[0; N]; nregs + 2],
+            cycle: [0; N],
+            issued_in_cycle: [0; N],
+            rob: vec![0; rob_len],
+            rob_pos: [0; N],
+            last_complete: [0; N],
+            max_complete: [0; N],
+            instructions: 0,
         }
+    }
+
+    fn results(&self) -> [PipelineResult; N] {
+        std::array::from_fn(|lane| {
+            let (l1, l2) = &self.memory.l2s[self.memory.lane_l2[lane]];
+            PipelineResult {
+                cycles: self.max_complete[lane].max(self.cycle[lane]),
+                instructions: self.instructions,
+                branches: self.branch_stats,
+                l1: self.memory.l1s[*l1].stats(),
+                l2: l2.stats(),
+            }
+        })
+    }
+}
+
+impl<const N: usize> Observer for LaneSim<'_, N> {
+    // Forced inline into the dispatch loop, like the executor's own
+    // helpers: the one-lane run is measurably faster (PERF.md, "lane-
+    // specialised timing core").
+    #[inline(always)]
+    fn on_inst(&mut self, event: &InstEvent) {
+        let site = self.sites[event.site_id as usize];
+        self.instructions += 1;
+        let mem_latency = match event.mem_read {
+            Some(a) => self.memory.read(a),
+            None => [0; N],
+        };
         if let Some(a) = event.mem_write {
             // Stores retire through a write buffer; they still access the
             // caches (state + stats) but charge no latency.
-            self.classify(a, false);
+            self.memory.access(a);
         }
-        let nlanes = self.lanes.len();
-        // Zipped iterators over the SoA columns keep the per-instruction
-        // inner loop free of per-lane bounds checks.
-        let lane_iter = self
-            .lanes
-            .iter()
-            .zip(self.cycle.iter_mut())
-            .zip(self.issued_in_cycle.iter_mut())
-            .zip(self.rob_pos.iter_mut())
-            .zip(self.rob_len.iter_mut())
-            .zip(self.last_complete.iter_mut())
-            .zip(self.max_complete.iter_mut())
-            .enumerate();
-        for (lane, ((((((cfg, cycle_slot), issued_slot), rob_pos), rob_len), last), max)) in
-            lane_iter
-        {
-            let mut cycle = *cycle_slot;
-            let mut issued = *issued_slot;
+        let [a, b, c] = site.uses.map(|r| self.reg_ready[r as usize]);
+        let mut complete = [0; N];
+        for lane in 0..N {
+            let mut cycle = self.cycle[lane];
+            let mut issued = self.issued_in_cycle[lane];
             // Issue-width constraint.
-            if issued >= cfg.width {
+            if issued >= self.width[lane] {
                 cycle += 1;
                 issued = 0;
             }
-            // Reorder-buffer constraint (out-of-order only); ring semantics
-            // identical to the scalar model's.
-            let rob_full = !cfg.in_order && *rob_len >= cfg.rob_cap;
-            if rob_full {
-                let oldest = self.rob[cfg.rob_off + *rob_pos];
-                if oldest > cycle {
-                    cycle = oldest;
-                    issued = 0;
-                }
-            }
-            let mut src_ready = 0;
-            for r in info.uses.iter().flatten() {
-                let i = r.0 as usize;
-                if i < self.nregs {
-                    src_ready = src_ready.max(self.reg_ready[i * nlanes + lane]);
-                }
-            }
-            let issue = if cfg.in_order {
+            let src_ready = a[lane].max(b[lane]).max(c[lane]);
+            let rob_slot = self.rob_off[lane] + self.rob_pos[lane];
+            let issue = if self.in_order[lane] {
                 // In-order issue stalls the whole pipeline until operands
                 // are ready.
                 if src_ready > cycle {
@@ -287,40 +274,30 @@ impl Observer for BatchedPipelineSim {
                 }
                 cycle
             } else {
+                // Reorder-buffer constraint: the oldest in-flight
+                // instruction must have completed before a new one enters.
+                let oldest = self.rob[rob_slot];
+                if oldest > cycle {
+                    cycle = oldest;
+                    issued = 0;
+                }
                 cycle.max(src_ready)
             };
-            let mut latency = base;
-            if has_read {
-                latency += match self.mem_level[cfg.l2] {
-                    LEVEL_L1 => cfg.l1_latency,
-                    LEVEL_L2 => cfg.l2_latency,
-                    _ => cfg.mem_latency,
-                };
-            }
-            let complete = issue + latency.max(1);
-            if let Some(d) = info.def {
-                let i = d.0 as usize;
-                if i < self.nregs {
-                    self.reg_ready[i * nlanes + lane] = complete;
+            let done = issue + (site.base + mem_latency[lane]).max(1);
+            if !self.in_order[lane] {
+                self.rob[rob_slot] = done;
+                self.rob_pos[lane] += 1;
+                if self.rob_pos[lane] == self.rob_cap[lane] {
+                    self.rob_pos[lane] = 0;
                 }
             }
-            if !cfg.in_order {
-                if rob_full {
-                    self.rob[cfg.rob_off + *rob_pos] = complete;
-                    *rob_pos += 1;
-                    if *rob_pos >= cfg.rob_cap {
-                        *rob_pos = 0;
-                    }
-                } else {
-                    self.rob[cfg.rob_off + *rob_len] = complete;
-                    *rob_len += 1;
-                }
-            }
-            *cycle_slot = cycle;
-            *issued_slot = issued + 1;
-            *last = complete;
-            *max = (*max).max(complete);
+            self.cycle[lane] = cycle;
+            self.issued_in_cycle[lane] = issued + 1;
+            self.max_complete[lane] = self.max_complete[lane].max(done);
+            complete[lane] = done;
         }
+        self.last_complete = complete;
+        self.reg_ready[site.def as usize] = complete;
     }
 
     fn on_branch(&mut self, _site: InstSite, site_id: u32, taken: bool) {
@@ -330,39 +307,72 @@ impl Observer for BatchedPipelineSim {
         } else {
             // Redirect every lane: the outcome is shared (see module docs),
             // the penalty is per lane.
-            for lane in 0..self.lanes.len() {
-                self.cycle[lane] = self.cycle[lane].max(self.last_complete[lane])
-                    + self.lanes[lane].mispredict_penalty;
+            for lane in 0..N {
+                self.cycle[lane] =
+                    self.cycle[lane].max(self.last_complete[lane]) + self.mispredict_penalty[lane];
                 self.issued_in_cycle[lane] = 0;
             }
         }
     }
 }
 
-/// The design discussion's name for the batched model: it is "just" an
-/// observer over the unmodified dispatch loop.
-pub type BatchedObserver = BatchedPipelineSim;
+/// Times one execution of `image` under the `N` configs of `lanes`.
+fn run_lanes<const N: usize>(
+    image: &ExecImage,
+    sites: &[SiteTiming],
+    lanes: &[PipelineConfig],
+    exec: &ExecConfig,
+) -> [PipelineResult; N] {
+    let configs: &[PipelineConfig; N] = lanes.try_into().expect("lane chunk of width N");
+    let mut sim = LaneSim::new(configs, sites, image.max_regs() as usize);
+    execute_image(image, &mut sim, exec);
+    sim.results()
+}
+
+/// Executes `image` **as given** (no unfused-twin substitution) under
+/// `exec` and returns one [`PipelineResult`] per config, in input order.
+/// Duplicate configs share a lane; up to four unique configs share one
+/// functional execution, more run in chunks of four.  This is the code
+/// every production timing call runs, exposed so differential tests can
+/// drive it over either twin and under instruction budgets.
+pub fn simulate_configs(
+    image: &ExecImage,
+    configs: &[PipelineConfig],
+    exec: &ExecConfig,
+) -> Vec<PipelineResult> {
+    let mut unique: Vec<PipelineConfig> = Vec::new();
+    let lane_of: Vec<usize> = configs
+        .iter()
+        .map(|c| position_or_push(&mut unique, *c))
+        .collect();
+    let sites = site_table(image);
+    let mut lanes: Vec<PipelineResult> = Vec::with_capacity(unique.len());
+    for chunk in unique.chunks(MAX_LANES) {
+        match chunk.len() {
+            1 => lanes.extend(run_lanes::<1>(image, &sites, chunk, exec)),
+            2 => lanes.extend(run_lanes::<2>(image, &sites, chunk, exec)),
+            3 => lanes.extend(run_lanes::<3>(image, &sites, chunk, exec)),
+            _ => lanes.extend(run_lanes::<MAX_LANES>(image, &sites, chunk, exec)),
+        }
+    }
+    lane_of.iter().map(|&lane| lanes[lane]).collect()
+}
 
 /// [`crate::pipeline::simulate_image`] over many configs at once: one
-/// functional execution, one [`PipelineResult`] per config, each
-/// bit-identical to what the scalar call would return (differential-suite
-/// proven).  Like the scalar path, the batched model is a heavyweight
-/// observer, so the image's **unfused twin** is executed when present.
+/// [`PipelineResult`] per config, each bit-identical to what a separate
+/// call would return.  Like every timing call, it executes the image's
+/// **unfused twin** when present (the timing model is a heavyweight
+/// observer; see `ExecImage::unfused_twin`).
 pub fn simulate_image_batch(image: &ExecImage, configs: &[PipelineConfig]) -> Vec<PipelineResult> {
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let image = image.unfused_twin();
-    let mut sim = BatchedPipelineSim::from_image(configs, image);
-    execute_image(image, &mut sim, &ExecConfig::default());
-    sim.results()
+    simulate_configs(image.unfused_twin(), configs, &ExecConfig::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::execute;
     use crate::machine::MachineConfig;
-    use crate::pipeline::simulate_image;
+    use crate::pipeline::ReferencePipelineSim;
     use bsg_ir::program::{Function, Global, Program};
     use bsg_ir::types::Ty;
     use bsg_ir::visa::{Address, BinOp, Inst, Operand, Terminator};
@@ -441,27 +451,36 @@ mod tests {
         p
     }
 
+    fn reference(program: &Program, config: PipelineConfig) -> PipelineResult {
+        let mut sim = ReferencePipelineSim::new(config, program);
+        execute(program, &mut sim, &ExecConfig::default());
+        sim.result()
+    }
+
     #[test]
-    fn batched_lanes_equal_scalar_results_on_table3() {
-        let image = ExecImage::new(&mixed_loop(4000, 7));
-        let configs: Vec<PipelineConfig> =
-            MachineConfig::table3().iter().map(|m| m.pipeline).collect();
+    fn lanes_equal_the_reference_on_table3_extended() {
+        let program = mixed_loop(4000, 7);
+        let image = ExecImage::new(&program);
+        let configs: Vec<PipelineConfig> = MachineConfig::table3_extended()
+            .iter()
+            .map(|m| m.pipeline)
+            .collect();
         let batched = simulate_image_batch(&image, &configs);
         for (c, b) in configs.iter().zip(&batched) {
-            let scalar = simulate_image(&image, *c);
-            assert_eq!(*b, scalar, "lane diverged for {c:?}");
+            assert_eq!(*b, reference(&program, *c), "lane diverged for {c:?}");
         }
     }
 
     #[test]
     fn duplicate_configs_share_a_lane_and_report_identical_results() {
-        let image = ExecImage::new(&mixed_loop(500, 3));
+        let program = mixed_loop(500, 3);
+        let image = ExecImage::new(&program);
         let cfg = PipelineConfig::ptlsim_2wide(16);
         let r = simulate_image_batch(&image, &[cfg, cfg, cfg]);
         assert_eq!(r.len(), 3);
         assert_eq!(r[0], r[1]);
         assert_eq!(r[1], r[2]);
-        assert_eq!(r[0], simulate_image(&image, cfg));
+        assert_eq!(r[0], reference(&program, cfg));
     }
 
     #[test]
@@ -471,14 +490,30 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_registers_read_zero_and_write_nothing() {
+        let image = ExecImage::new(&mixed_loop(10, 1));
+        let sites = site_table(&image);
+        let nregs = image.max_regs();
+        for (t, m) in sites.iter().zip(image.site_metas()) {
+            for (row, used) in t.uses.iter().zip(m.uses) {
+                match used {
+                    Some(r) if r.0 < nregs => assert_eq!(*row, r.0),
+                    _ => assert_eq!(*row, nregs),
+                }
+            }
+            assert!(t.def < nregs || t.def == nregs + 1);
+        }
+    }
+
+    #[test]
     fn run_batch_matches_run_image_per_machine() {
         let image = ExecImage::new(&mixed_loop(2000, 5));
         let machines = MachineConfig::table3_extended();
         let batched = MachineConfig::run_batch(&machines, &image);
         assert_eq!(batched.len(), machines.len());
         for (m, b) in machines.iter().zip(&batched) {
-            let scalar = m.run_image(&image);
-            assert_eq!(b, &scalar, "machine {} diverged", m.name);
+            let single = m.run_image(&image);
+            assert_eq!(b, &single, "machine {} diverged", m.name);
         }
     }
 }

@@ -13,13 +13,13 @@
 //!   single-pass multi-configuration sweep used for Figures 7, 8 and 10.
 //! * [`branch`] — bimodal, gshare and hybrid branch predictors (Figure 9).
 //! * [`pipeline`] — dependence-driven out-of-order and in-order (EPIC)
-//!   timing models producing CPI (Figure 10).
+//!   timing models producing CPI (Figure 10), plus their reference oracle.
 //! * [`machine`] — the five Table III machine models used to reproduce the
 //!   cross-architecture, cross-compiler execution-time trends of Figure 11.
-//! * [`batch`] — batched multi-config simulation: one functional execution
-//!   drives every machine config's timing state at once (the machine-axis
-//!   sweeps pay for one interpreter pass instead of N), bit-identical per
-//!   lane to the scalar [`pipeline`] model.
+//! * [`batch`] — the timing core: one functional execution drives the
+//!   timing state of one to four configs at once (the machine- and
+//!   cache-axis sweeps pay for one interpreter pass instead of N); a single
+//!   config is a one-lane run of the same code.
 //!
 //! # Example
 //!
@@ -68,7 +68,7 @@ pub mod pipeline;
 mod typing;
 pub mod verify;
 
-pub use batch::{simulate_image_batch, BatchedObserver, BatchedPipelineSim};
+pub use batch::{simulate_configs, simulate_image_batch};
 pub use branch::{Bimodal, BranchStats, GShare, Hybrid, Predictor};
 pub use cache::{Cache, CacheConfig, CacheStats, CacheSweep};
 pub use cancel::CancelToken;
@@ -79,6 +79,6 @@ pub use exec::{
 pub use image::{ExecImage, SiteMeta};
 pub use machine::{MachineConfig, MachineIsa, MachineResult};
 pub use pipeline::{
-    simulate, simulate_image, PipelineConfig, PipelineResult, PipelineSim, ReferencePipelineSim,
+    simulate, simulate_image, PipelineConfig, PipelineResult, ReferencePipelineSim,
 };
 pub use verify::{verify_image, VerifyError, VerifyReport};

@@ -8,6 +8,11 @@
 //! cache misses and branch mispredictions.  They are first-order models in
 //! the spirit of interval analysis, not cycle-by-cycle simulators — which is
 //! all the paper's original-vs-synthetic comparisons require.
+//!
+//! This module holds the configuration and result types, the single-config
+//! entry points and the [`ReferencePipelineSim`] test oracle; the timing
+//! core itself, one lane loop for one or more configs, is in
+//! [`crate::batch`].
 
 use crate::branch::{BranchStats, Hybrid, Predictor};
 use crate::cache::{Cache, CacheConfig, CacheStats};
@@ -132,19 +137,9 @@ impl PipelineResult {
     }
 }
 
-/// Per-static-instruction register information, predecoded by the
-/// [`ExecImage`] so the timing model does one array index per dynamic
-/// instruction (no hashing, no allocation).  Shared with the batched
-/// multi-config model in [`crate::batch`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SiteInfo {
-    pub(crate) def: Option<Reg>,
-    pub(crate) uses: [Option<Reg>; 3],
-}
-
 /// Issue-to-complete latency of an instruction class, excluding the memory
-/// hierarchy (loads are charged through the cache model).  One function —
-/// not a method — so the scalar and batched models provably share it.
+/// hierarchy (loads are charged through the cache model).  The timing core
+/// reads it once per static site, the reference model once per event.
 pub(crate) fn base_latency(class: InstClass) -> u64 {
     match class {
         InstClass::IntAlu | InstClass::Branch | InstClass::Other | InstClass::Store => 1,
@@ -158,12 +153,37 @@ pub(crate) fn base_latency(class: InstClass) -> u64 {
     }
 }
 
-/// The pipeline timing model; implement [`Observer`] and feed it to
-/// [`crate::exec::execute`].
-pub struct PipelineSim {
+/// Runs a program through the functional executor under this timing model and
+/// returns the timing result.
+pub fn simulate(program: &Program, config: PipelineConfig) -> PipelineResult {
+    simulate_image(&ExecImage::new(program), config)
+}
+
+/// [`simulate`] over a prebuilt image (amortizes predecode across sweeps):
+/// a one-lane run of the timing core in [`crate::batch`].
+///
+/// Observer-specialized dispatch: the timing model is a heavyweight observer,
+/// and with its callbacks inlined into the dispatch loop the fused arms cost
+/// more in i-cache pressure than they save in dispatch (PERF.md measures the
+/// inversion), so the simulation runs the image's **unfused twin** when one
+/// is present.  Results are bit-identical either way — the
+/// twins share site tables and event streams (differential-suite proven) —
+/// so callers see only the speed difference.
+pub fn simulate_image(image: &ExecImage, config: PipelineConfig) -> PipelineResult {
+    crate::batch::simulate_image_batch(image, &[config])[0]
+}
+
+/// The test oracle for the timing core: a scalar model that shares none of
+/// its code.  Per-site register information lives in nested `HashMap`s
+/// probed by `(func, block, index)` on every dynamic instruction, the
+/// latency class comes from the event, and the reorder buffer is a ring
+/// that grows to capacity before it wraps — the model exactly as it worked
+/// before dense site ids and lanes existed.  Only the cache, the branch
+/// predictor and `base_latency` are shared; each has its own tests.
+pub struct ReferencePipelineSim {
+    info: HashMap<FuncId, Vec<Vec<ReferenceSiteInfo>>>,
+    term_uses: HashMap<FuncId, Vec<Option<Reg>>>,
     config: PipelineConfig,
-    /// Indexed by dense site id (the image's site table order).
-    info: Vec<SiteInfo>,
     l1: Cache,
     l2: Cache,
     predictor: Hybrid,
@@ -180,33 +200,56 @@ pub struct PipelineSim {
     instructions: u64,
 }
 
-impl PipelineSim {
-    /// Creates a timing model for `program` (register/def–use information is
-    /// precomputed from the program).  When an [`ExecImage`] is already at
-    /// hand, [`PipelineSim::from_image`] skips the predecode pass.
-    pub fn new(config: PipelineConfig, program: &Program) -> Self {
-        Self::from_image(config, &ExecImage::new(program))
-    }
+#[derive(Debug, Clone, Copy, Default)]
+struct ReferenceSiteInfo {
+    def: Option<Reg>,
+    uses: [Option<Reg>; 3],
+}
 
-    /// Creates a timing model from a predecoded image, reusing its site
-    /// table for the per-instruction register information.
-    pub fn from_image(config: PipelineConfig, image: &ExecImage) -> Self {
-        let info = image
-            .site_metas()
-            .iter()
-            .map(|m| SiteInfo {
-                def: m.def,
-                uses: m.uses,
-            })
-            .collect();
-        PipelineSim {
-            config,
+fn reference_site_info(inst: &Inst) -> ReferenceSiteInfo {
+    let mut info = ReferenceSiteInfo {
+        def: inst.def(),
+        uses: [None; 3],
+    };
+    for (i, u) in inst.uses().take(3).enumerate() {
+        info.uses[i] = Some(u);
+    }
+    info
+}
+
+impl ReferencePipelineSim {
+    /// Creates the reference model for `program`.
+    pub fn new(config: PipelineConfig, program: &Program) -> Self {
+        let mut info = HashMap::new();
+        let mut term_uses = HashMap::new();
+        let mut max_regs = 1;
+        for (fi, f) in program.functions.iter().enumerate() {
+            max_regs = max_regs.max(f.num_regs as usize);
+            let blocks: Vec<Vec<ReferenceSiteInfo>> = f
+                .blocks
+                .iter()
+                .map(|b| b.insts.iter().map(reference_site_info).collect())
+                .collect();
+            info.insert(FuncId(fi as u32), blocks);
+            let terms: Vec<Option<Reg>> = f
+                .blocks
+                .iter()
+                .map(|b| match &b.term {
+                    Terminator::Branch { cond, .. } => Some(*cond),
+                    _ => None,
+                })
+                .collect();
+            term_uses.insert(FuncId(fi as u32), terms);
+        }
+        ReferencePipelineSim {
             info,
+            term_uses,
+            config,
             l1: Cache::new(config.l1),
             l2: Cache::new(config.l2),
             predictor: Hybrid::default_config(),
             branch_stats: BranchStats::default(),
-            reg_ready: vec![0; image.max_regs() as usize],
+            reg_ready: vec![0; max_regs],
             cycle: 0,
             issued_in_cycle: 0,
             rob: Vec::new(),
@@ -215,6 +258,27 @@ impl PipelineSim {
             max_complete: 0,
             instructions: 0,
         }
+    }
+
+    fn lookup(&self, event: &InstEvent) -> ReferenceSiteInfo {
+        if event.site.index == usize::MAX {
+            let cond = self
+                .term_uses
+                .get(&event.site.func)
+                .and_then(|v| v.get(event.site.block.index()))
+                .copied()
+                .flatten();
+            return ReferenceSiteInfo {
+                def: None,
+                uses: [cond, None, None],
+            };
+        }
+        self.info
+            .get(&event.site.func)
+            .and_then(|blocks| blocks.get(event.site.block.index()))
+            .and_then(|insts| insts.get(event.site.index))
+            .copied()
+            .unwrap_or_default()
     }
 
     fn memory_latency(&mut self, addr: u64) -> u64 {
@@ -231,22 +295,8 @@ impl PipelineSim {
         self.reg_ready.get(r.0 as usize).copied().unwrap_or(0)
     }
 
-    /// The final timing result.
-    pub fn result(&self) -> PipelineResult {
-        PipelineResult {
-            cycles: self.max_complete.max(self.cycle),
-            instructions: self.instructions,
-            branches: self.branch_stats,
-            l1: self.l1.stats(),
-            l2: self.l2.stats(),
-        }
-    }
-}
-
-impl PipelineSim {
-    /// Advances the timing model by one instruction with its predecoded
-    /// register information (shared by the dense and reference front ends).
-    fn step(&mut self, event: &InstEvent, info: SiteInfo) {
+    /// Advances the timing model by one instruction.
+    fn step(&mut self, event: &InstEvent, info: ReferenceSiteInfo) {
         self.instructions += 1;
 
         // Issue-width constraint.
@@ -315,11 +365,22 @@ impl PipelineSim {
         self.last_complete = complete;
         self.max_complete = self.max_complete.max(complete);
     }
+
+    /// The final timing result.
+    pub fn result(&self) -> PipelineResult {
+        PipelineResult {
+            cycles: self.max_complete.max(self.cycle),
+            instructions: self.instructions,
+            branches: self.branch_stats,
+            l1: self.l1.stats(),
+            l2: self.l2.stats(),
+        }
+    }
 }
 
-impl Observer for PipelineSim {
+impl Observer for ReferencePipelineSim {
     fn on_inst(&mut self, event: &InstEvent) {
-        let info = self.info[event.site_id as usize];
+        let info = self.lookup(event);
         self.step(event, info);
     }
 
@@ -332,132 +393,6 @@ impl Observer for PipelineSim {
             self.cycle = self.cycle.max(self.last_complete) + self.config.mispredict_penalty;
             self.issued_in_cycle = 0;
         }
-    }
-}
-
-/// Runs a program through the functional executor under this timing model and
-/// returns the timing result.
-pub fn simulate(program: &Program, config: PipelineConfig) -> PipelineResult {
-    simulate_image(&ExecImage::new(program), config)
-}
-
-/// [`simulate`] over a prebuilt image (amortizes predecode across sweeps).
-///
-/// Observer-specialized dispatch: the timing model is a heavyweight observer,
-/// and with its callbacks inlined into the dispatch loop the fused arms cost
-/// more in i-cache pressure than they save in dispatch (PERF.md §PR-3/§PR-5
-/// measure the inversion), so the simulation runs the image's **unfused
-/// twin** when one is present.  Results are bit-identical either way — the
-/// twins share site tables and event streams (differential-suite proven) —
-/// so callers see only the speed difference.
-pub fn simulate_image(image: &ExecImage, config: PipelineConfig) -> PipelineResult {
-    let image = image.unfused_twin();
-    let mut sim = PipelineSim::from_image(config, image);
-    crate::exec::execute_image(image, &mut sim, &crate::exec::ExecConfig::default());
-    sim.result()
-}
-
-/// The pre-predecode pipeline timing model, kept as the measured baseline
-/// and differential-test reference: per-site register information lives in
-/// nested `HashMap`s probed by `(func, block, index)` on every dynamic
-/// instruction, exactly as the model worked before dense site ids existed.
-/// (Branch-predictor tables are keyed by dense site id here too — see
-/// PERF.md — so both models produce bit-identical results.)
-pub struct ReferencePipelineSim {
-    info: HashMap<FuncId, Vec<Vec<ReferenceSiteInfo>>>,
-    term_uses: HashMap<FuncId, Vec<Option<Reg>>>,
-    inner: PipelineSim,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct ReferenceSiteInfo {
-    def: Option<Reg>,
-    uses: [Option<Reg>; 3],
-}
-
-fn reference_site_info(inst: &Inst) -> ReferenceSiteInfo {
-    let mut info = ReferenceSiteInfo {
-        def: inst.def(),
-        uses: [None; 3],
-    };
-    for (i, u) in inst.uses().take(3).enumerate() {
-        info.uses[i] = Some(u);
-    }
-    info
-}
-
-impl ReferencePipelineSim {
-    /// Creates the reference model for `program`.
-    pub fn new(config: PipelineConfig, program: &Program) -> Self {
-        let mut info = HashMap::new();
-        let mut term_uses = HashMap::new();
-        let mut max_regs = 1;
-        for (fi, f) in program.functions.iter().enumerate() {
-            max_regs = max_regs.max(f.num_regs as usize);
-            let blocks: Vec<Vec<ReferenceSiteInfo>> = f
-                .blocks
-                .iter()
-                .map(|b| b.insts.iter().map(reference_site_info).collect())
-                .collect();
-            info.insert(FuncId(fi as u32), blocks);
-            let terms: Vec<Option<Reg>> = f
-                .blocks
-                .iter()
-                .map(|b| match &b.term {
-                    Terminator::Branch { cond, .. } => Some(*cond),
-                    _ => None,
-                })
-                .collect();
-            term_uses.insert(FuncId(fi as u32), terms);
-        }
-        let mut inner = PipelineSim::new(config, program);
-        inner.info.clear(); // the reference path supplies its own lookups
-        inner.reg_ready = vec![0; max_regs];
-        ReferencePipelineSim {
-            info,
-            term_uses,
-            inner,
-        }
-    }
-
-    fn lookup(&self, event: &InstEvent) -> SiteInfo {
-        if event.site.index == usize::MAX {
-            let cond = self
-                .term_uses
-                .get(&event.site.func)
-                .and_then(|v| v.get(event.site.block.index()))
-                .copied()
-                .flatten();
-            return SiteInfo {
-                def: None,
-                uses: [cond, None, None],
-            };
-        }
-        self.info
-            .get(&event.site.func)
-            .and_then(|blocks| blocks.get(event.site.block.index()))
-            .and_then(|insts| insts.get(event.site.index))
-            .map(|i| SiteInfo {
-                def: i.def,
-                uses: i.uses,
-            })
-            .unwrap_or_default()
-    }
-
-    /// The final timing result.
-    pub fn result(&self) -> PipelineResult {
-        self.inner.result()
-    }
-}
-
-impl Observer for ReferencePipelineSim {
-    fn on_inst(&mut self, event: &InstEvent) {
-        let info = self.lookup(event);
-        self.inner.step(event, info);
-    }
-
-    fn on_branch(&mut self, site: InstSite, site_id: u32, taken: bool) {
-        self.inner.on_branch(site, site_id, taken);
     }
 }
 

@@ -1,17 +1,19 @@
 //! Differential tests: the predecoded engine — fused *and* unfused — must be
 //! observably identical to the legacy tree-walking interpreter: same
 //! [`ExecOutcome`], same event stream (instructions, blocks, edges, branches,
-//! calls, in the same order, with the same dense indices), and same
-//! [`PipelineResult`] when all three drive the timing model.
+//! calls, in the same order, with the same dense indices), and the timing
+//! core over either twin must equal the independent reference timing model
+//! driven by the legacy engine.
 
 use bsg_ir::program::{Function, Global, Program};
 use bsg_ir::types::{BlockId, FuncId, Ty, Value};
 use bsg_ir::visa::{Address, BinOp, Inst, Operand, Terminator, UnOp};
+use bsg_uarch::batch::simulate_configs;
 use bsg_uarch::exec::{
     execute_image, execute_legacy, ExecConfig, ExecOutcome, InstEvent, InstSite, Observer,
 };
 use bsg_uarch::image::ExecImage;
-use bsg_uarch::pipeline::{PipelineConfig, PipelineSim, ReferencePipelineSim};
+use bsg_uarch::pipeline::{PipelineConfig, ReferencePipelineSim};
 
 /// Records every observer callback verbatim.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -70,19 +72,20 @@ fn assert_identical(program: &Program, config: &ExecConfig) -> ExecOutcome {
         }
     }
 
-    let mut fused_sim = PipelineSim::from_image(PipelineConfig::ptlsim_2wide(8), &fused_image);
-    let mut unfused_sim = PipelineSim::from_image(PipelineConfig::ptlsim_2wide(8), &unfused_image);
-    let mut old_sim = ReferencePipelineSim::new(PipelineConfig::ptlsim_2wide(8), program);
-    execute_image(&fused_image, &mut fused_sim, config);
-    execute_image(&unfused_image, &mut unfused_sim, config);
+    // The timing core over both twins against the independent oracle on
+    // the legacy engine.
+    let pipe = PipelineConfig::ptlsim_2wide(8);
+    let mut old_sim = ReferencePipelineSim::new(pipe, program);
     execute_legacy(program, &mut old_sim, config);
+    let fused_sim = simulate_configs(&fused_image, &[pipe], config)[0];
+    let unfused_sim = simulate_configs(&unfused_image, &[pipe], config)[0];
     assert_eq!(
-        fused_sim.result(),
+        fused_sim,
         old_sim.result(),
         "fused pipeline results diverge"
     );
     assert_eq!(
-        unfused_sim.result(),
+        unfused_sim,
         old_sim.result(),
         "unfused pipeline results diverge"
     );

@@ -14,10 +14,10 @@
 
 use bsg_ir::program::Program;
 use bsg_ir::types::{BlockId, FuncId};
-use bsg_uarch::batch::BatchedPipelineSim;
+use bsg_uarch::batch::simulate_configs;
 use bsg_uarch::exec::{execute_image, execute_legacy, ExecConfig, InstEvent, InstSite, Observer};
 use bsg_uarch::image::ExecImage;
-use bsg_uarch::pipeline::{PipelineConfig, PipelineSim, ReferencePipelineSim};
+use bsg_uarch::pipeline::{PipelineConfig, ReferencePipelineSim};
 use bsg_verify::gen::{o0_frame_program, Gen};
 use proptest::prelude::*;
 use rand::Rng;
@@ -86,16 +86,12 @@ fn check_identical(program: &Program, config: &ExecConfig) -> Result<(), String>
             }
         }
     }
-    let mut fused_sim = PipelineSim::from_image(PipelineConfig::ptlsim_2wide(8), &fused_image);
-    let mut old_sim = ReferencePipelineSim::new(PipelineConfig::ptlsim_2wide(8), program);
-    execute_image(&fused_image, &mut fused_sim, config);
+    let pipe = PipelineConfig::ptlsim_2wide(8);
+    let mut old_sim = ReferencePipelineSim::new(pipe, program);
     execute_legacy(program, &mut old_sim, config);
-    if fused_sim.result() != old_sim.result() {
-        return Err(format!(
-            "pipeline: {:?} vs {:?}",
-            fused_sim.result(),
-            old_sim.result()
-        ));
+    let fused_sim = simulate_configs(&fused_image, &[pipe], config)[0];
+    if fused_sim != old_sim.result() {
+        return Err(format!("pipeline: {fused_sim:?} vs {:?}", old_sim.result()));
     }
     Ok(())
 }
@@ -149,13 +145,13 @@ proptest! {
     }
 
     #[test]
-    fn batched_lanes_match_scalar_sims_under_budget_aborts(seed in 0u64..1_000_000) {
-        // Per-lane bit-parity of the batched multi-config model against N
-        // independent scalar simulations, on random frame-fusing programs,
-        // with budgets that abort mid-superinstruction — both models see
-        // the identical truncated event stream, so every lane must still
-        // equal its scalar twin exactly.  The config set deliberately mixes
-        // a duplicate (lane dedup), shared L1/L2 shapes, in-order, and a
+    fn batched_lanes_match_the_reference_under_budget_aborts(seed in 0u64..1_000_000) {
+        // Per-lane bit-parity of the timing core against N independent
+        // reference simulations, on random frame-fusing programs, with
+        // budgets that abort mid-superinstruction — both models see the
+        // identical truncated event stream, so every lane must still equal
+        // its reference exactly.  The config set deliberately mixes a
+        // duplicate (lane dedup), shared L1/L2 shapes, in-order, and a
         // zero-sized ROB.
         let program = o0_frame_program(seed);
         let configs = [
@@ -168,14 +164,13 @@ proptest! {
         for image in [ExecImage::new(&program), ExecImage::unfused(&program)] {
             for budget in [3u64, 7, 26, 97, 331, 20_000] {
                 let config = ExecConfig { max_instructions: budget, max_call_depth: 13 };
-                let mut batched = BatchedPipelineSim::from_image(&configs, &image);
-                execute_image(&image, &mut batched, &config);
-                for ((i, c), lane) in configs.iter().enumerate().zip(batched.results()) {
-                    let mut scalar = PipelineSim::from_image(*c, &image);
-                    execute_image(&image, &mut scalar, &config);
+                let lanes = simulate_configs(&image, &configs, &config);
+                for ((i, c), lane) in configs.iter().enumerate().zip(lanes) {
+                    let mut reference = ReferencePipelineSim::new(*c, &program);
+                    execute_image(&image, &mut reference, &config);
                     prop_assert_eq!(
                         lane,
-                        scalar.result(),
+                        reference.result(),
                         "seed {} budget {} lane {} diverged",
                         seed,
                         budget,
