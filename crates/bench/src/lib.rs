@@ -32,12 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod census;
 pub mod experiment;
 
 pub use experiment::{cross, refs, Experiment, Measured, Section};
 
 use bsg_compiler::{CompileOptions, OptLevel, TargetIsa};
-use bsg_ir::hll::HllProgram;
 use bsg_profile::{MixObserver, NodeKey, ProfileConfig, Sfgl, SfglLoop, StatisticalProfile};
 use bsg_runtime::{ArtifactStore, CompiledArtifact, Runtime, SourceId};
 use bsg_similarity::SimilarityReport;
@@ -565,7 +565,6 @@ pub fn table3x() -> String {
 pub fn figure2_example_sfgl() -> Sfgl {
     let key = |b: u32| NodeKey { func: 0, block: b };
     let mut s = Sfgl::default();
-    let names = ["A", "B", "C", "D", "E", "F", "G", "H", "I"];
     let counts = [500u64, 420, 80, 500, 5000, 1000, 4000, 5000, 500];
     for (i, c) in counts.iter().enumerate() {
         s.nodes.insert(key(i as u32), *c);
@@ -594,7 +593,6 @@ pub fn figure2_example_sfgl() -> Sfgl {
         depth: 1,
         parent: None,
     });
-    let _ = names;
     s
 }
 
@@ -1055,12 +1053,6 @@ pub fn obfuscation(artifacts: &[WorkloadArtifacts]) -> String {
         );
     }
     out
-}
-
-/// Emits a complete HLL program's C text (helper for examples / binaries),
-/// memoized in the artifact store.
-pub fn c_source_of(program: &HllProgram) -> String {
-    ArtifactStore::global().c_text(program).as_ref().clone()
 }
 
 /// Times `body` over `passes` passes and returns the retired instruction

@@ -56,12 +56,11 @@ pub mod regalloc;
 
 use bsg_ir::hll::HllProgram;
 use bsg_ir::Program;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Compiler optimization levels, mirroring GCC's `-O0`…`-O3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptLevel {
     /// No optimization; scalars live in memory.
     O0,
@@ -94,7 +93,7 @@ impl fmt::Display for OptLevel {
 
 /// Target instruction-set architectures (Table III of the paper uses x86,
 /// x86_64 and IA-64 machines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetIsa {
     /// 32-bit x86: 6 allocatable registers, memory operands folded into ALU ops.
     X86,
@@ -140,7 +139,7 @@ impl fmt::Display for TargetIsa {
 }
 
 /// Options controlling a compilation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompileOptions {
     /// Optimization level.
     pub opt_level: OptLevel,
@@ -248,7 +247,7 @@ impl Error for CompileError {}
 
 /// Statistics gathered while compiling, used by the ablation benches and by
 /// tests that check each pass actually fires.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompileStats {
     /// Instructions folded by constant folding.
     pub constants_folded: usize,
@@ -289,7 +288,7 @@ impl CompileStats {
 }
 
 /// The result of a compilation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     /// The executable VISA program.
     pub program: Program,

@@ -26,11 +26,10 @@ use bsg_ir::hll::{BinOp, Expr, HllProgram, Stmt};
 use bsg_profile::{NodeKey, StatisticalProfile};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Configuration of a synthesis run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisConfig {
     /// The reduction factor R (§III-B.1).  Use
     /// [`crate::reduction::synthesize_with_target`] to pick it automatically.
@@ -90,7 +89,7 @@ bsg_ir::canon_codec!(struct SynthesisStats {
 bsg_ir::canon_codec!(struct SyntheticBenchmark { name, hll, c_source, stats });
 
 /// Statistics about a generated benchmark.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SynthesisStats {
     /// Reduction factor used.
     pub reduction_factor: u64,
@@ -110,7 +109,7 @@ pub struct SynthesisStats {
 }
 
 /// A generated synthetic benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticBenchmark {
     /// Name (derived from the profiled workload's name).
     pub name: String,

@@ -9,14 +9,13 @@
 
 use bsg_ir::hll::{BinOp, Expr, HllGlobal};
 use bsg_profile::class_stride_bytes;
-use serde::{Deserialize, Serialize};
 
 /// Number of miss-rate classes (Table I defines classes 0..=8).
 pub const NUM_CLASSES: u8 = 9;
 
 /// One row of Table I: the miss-rate range a class covers and the stride used
 /// to regenerate it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrideClass {
     /// Class index (0..=8).
     pub class: u8,

@@ -12,10 +12,9 @@
 
 use bsg_ir::visa::InstClass;
 use bsg_profile::InstDescriptor;
-use serde::{Deserialize, Serialize};
 
 /// The statement templates of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternKind {
     /// `mem[i] = mem[j];`
     LoadStore,
@@ -39,7 +38,7 @@ pub enum PatternKind {
 }
 
 /// A Table II row: how many instructions of each kind one statement covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternCost {
     /// Template.
     pub kind: PatternKind,
@@ -107,7 +106,7 @@ pub fn table2() -> Vec<PatternCost> {
 
 /// The instruction budget of one basic block, derived from its profiled
 /// instruction descriptors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockBudget {
     /// Memory reads.
     pub loads: u32,

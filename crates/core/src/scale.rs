@@ -8,10 +8,9 @@
 //! workload (rarely executed code disappears entirely).
 
 use bsg_profile::{NodeKey, Sfgl, SfglLoop};
-use serde::{Deserialize, Serialize};
 
 /// The result of scaling an SFGL down by a reduction factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaledSfgl {
     /// The scaled graph (counts divided by R, zero-count nodes removed).
     pub sfgl: Sfgl,

@@ -7,7 +7,6 @@
 
 use crate::program::Function;
 use crate::types::BlockId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Successor / predecessor adjacency for a function's CFG.
@@ -167,7 +166,7 @@ impl Dominators {
 
 /// A natural loop: a back edge `latch -> header` where the header dominates
 /// the latch, together with the set of blocks in the loop body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaturalLoop {
     /// The loop header.
     pub header: BlockId,
@@ -189,7 +188,7 @@ impl NaturalLoop {
 }
 
 /// The set of natural loops of a function, with nesting information.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LoopForest {
     /// Loops, outer loops before their nested loops.
     pub loops: Vec<NaturalLoop>,

@@ -10,12 +10,11 @@
 //! as C source text for the plagiarism-detection experiments.
 
 use crate::types::{Ty, Value};
-use serde::{Deserialize, Serialize};
 
 pub use crate::visa::{BinOp, UnOp};
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
     Int(i64),
@@ -141,7 +140,7 @@ impl Expr {
 }
 
 /// An assignable location.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// A scalar variable.
     Var(String),
@@ -167,7 +166,7 @@ impl LValue {
 }
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `target = value;`
     Assign {
@@ -275,7 +274,7 @@ pub fn stmts_size(stmts: &[Stmt]) -> usize {
 }
 
 /// A global array declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HllGlobal {
     /// Array name.
     pub name: String,
@@ -349,7 +348,7 @@ impl HllGlobal {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HllFunction {
     /// Function name.
     pub name: String,
@@ -382,7 +381,7 @@ impl HllFunction {
 }
 
 /// A whole HLL program (translation unit).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HllProgram {
     /// Global arrays.
     pub globals: Vec<HllGlobal>,

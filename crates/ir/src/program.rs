@@ -2,12 +2,11 @@
 
 use crate::types::{BlockId, FuncId, GlobalId, Reg, Ty, Value, WORD_BYTES};
 use crate::visa::{Inst, MemBase, Operand, Terminator};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Initial contents of a global array.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum GlobalInit {
     /// All elements zero.
     #[default]
@@ -34,7 +33,7 @@ crate::canon_codec!(enum GlobalInit {
 });
 
 /// A statically allocated global array of scalars.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Global {
     /// Name (used by the C emitter and for debugging).
     pub name: String,
@@ -99,7 +98,7 @@ impl Global {
 }
 
 /// A basic block: straight-line instructions plus a terminator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Instructions in program order.
     pub insts: Vec<Inst>,
@@ -121,7 +120,7 @@ impl Block {
 
 /// A function: a CFG of basic blocks over a private virtual register file and
 /// stack frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -212,7 +211,7 @@ impl Function {
 }
 
 /// A whole program: functions, globals and a designated entry function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Functions, indexed by [`FuncId`].
     pub functions: Vec<Function>,
@@ -255,15 +254,6 @@ impl Program {
     /// Panics if `id` is out of range.
     pub fn function(&self, id: FuncId) -> &Function {
         &self.functions[id.index()]
-    }
-
-    /// Mutable accessor for a function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn function_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.functions[id.index()]
     }
 
     /// Looks a function up by name.
@@ -450,7 +440,7 @@ impl fmt::Display for Program {
 
 /// Byte-address layout of a program's data memory, used by the executor and
 /// the cache simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryLayout {
     /// Base byte address of each global.
     pub global_bases: Vec<u64>,

@@ -1,13 +1,12 @@
 //! Fundamental identifier and value types shared by the HLL and VISA layers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual (or, after register allocation, architectural) register index.
 ///
 /// Registers are function-local: register `r3` in one function is unrelated
 /// to `r3` in another function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(pub u32);
 
 crate::canon_codec!(struct Reg(id));
@@ -19,7 +18,7 @@ impl fmt::Display for Reg {
 }
 
 /// Index of a basic block within its [`Function`](crate::program::Function).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 crate::canon_codec!(struct BlockId(id));
@@ -38,7 +37,7 @@ impl fmt::Display for BlockId {
 }
 
 /// Index of a function within a [`Program`](crate::program::Program).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FuncId(pub u32);
 
 crate::canon_codec!(struct FuncId(id));
@@ -57,7 +56,7 @@ impl fmt::Display for FuncId {
 }
 
 /// Index of a global (statically allocated array) within a program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalId(pub u32);
 
 crate::canon_codec!(struct GlobalId(id));
@@ -80,7 +79,7 @@ impl fmt::Display for GlobalId {
 /// The paper targets 32-bit embedded machines (MiBench); we model integers as
 /// 64-bit two's-complement values wrapping at 32 bits only where the workload
 /// requires it, and floating point as IEEE-754 double precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Ty {
     /// Integer scalar (stored as `i64`).
     #[default]
@@ -104,7 +103,7 @@ impl fmt::Display for Ty {
 }
 
 /// A dynamic value manipulated by the functional executor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Integer value.
     Int(i64),

@@ -14,11 +14,10 @@
 use crate::canon::{Canon, CanonWrite};
 use crate::codec::{CanonReader, Decanon};
 use crate::types::{BlockId, FuncId, GlobalId, Reg, Ty};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Binary operations.  Comparison operators produce an integer 0/1 result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -146,7 +145,7 @@ impl fmt::Display for BinOp {
 }
 
 /// Unary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -202,7 +201,7 @@ impl fmt::Display for UnOp {
 }
 
 /// The base region of a memory address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemBase {
     /// A statically allocated global array.
     Global(GlobalId),
@@ -220,7 +219,7 @@ crate::canon_codec!(enum MemBase {
 /// Addresses are expressed in words (4 bytes, see
 /// [`WORD_BYTES`](crate::types::WORD_BYTES)); the executor converts them to
 /// byte addresses before handing them to the cache simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Address {
     /// Base region.
     pub base: MemBase,
@@ -264,11 +263,6 @@ impl Address {
             scale: 1,
         }
     }
-
-    /// Returns `true` if the address uses an index register.
-    pub fn is_indexed(&self) -> bool {
-        self.index.is_some()
-    }
 }
 
 impl fmt::Display for Address {
@@ -286,7 +280,7 @@ impl fmt::Display for Address {
 }
 
 /// An instruction operand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Operand {
     /// A register.
     Reg(Reg),
@@ -313,11 +307,6 @@ impl Operand {
             Operand::Reg(r) => Some(*r),
             _ => None,
         }
-    }
-
-    /// Returns `true` if the operand is an immediate (integer or float).
-    pub fn is_imm(&self) -> bool {
-        matches!(self, Operand::ImmInt(_) | Operand::ImmFloat(_))
     }
 
     /// Returns `true` if the operand reads memory.
@@ -366,7 +355,7 @@ impl fmt::Display for Operand {
 
 /// Coarse operand kind recorded in the statistical profile (§III-A.1 of the
 /// paper records whether operands are constants, registers or memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperandKind {
     /// Register operand.
     Register,
@@ -387,7 +376,7 @@ crate::canon_codec!(enum OperandKind {
 /// Control transfer between blocks lives in [`Terminator`]; `Inst` covers the
 /// straight-line body of a basic block (including calls, which return to the
 /// following instruction).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Inst {
     /// `dst = lhs op rhs` on values of type `ty`.
     Bin {
@@ -579,7 +568,7 @@ impl Inst {
 
 /// Fine-grained instruction classification used by the SFGL profile and the
 /// pipeline timing models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InstClass {
     /// Memory read.
     Load,
@@ -689,7 +678,7 @@ impl fmt::Display for InstClass {
 }
 
 /// The four instruction-mix categories of Figure 6 in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MixCategory {
     /// Loads.
     Load,
@@ -724,7 +713,7 @@ impl fmt::Display for MixCategory {
 }
 
 /// A basic-block terminator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),

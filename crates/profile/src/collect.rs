@@ -14,12 +14,11 @@ use bsg_uarch::exec::{
     execute_image, execute_legacy, ExecConfig, ExecOutcome, InstEvent, InstSite, Observer,
 };
 use bsg_uarch::image::ExecImage;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifies a static instruction within the profile (serializable version
 /// of [`InstSite`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteKey {
     /// Enclosing basic block.
     pub node: NodeKey,
@@ -41,7 +40,7 @@ impl SiteKey {
 }
 
 /// Dynamic behaviour of one static conditional branch (§III-A.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchProfile {
     /// Times the branch executed.
     pub executed: u64,
@@ -83,7 +82,7 @@ impl BranchProfile {
 }
 
 /// Dynamic behaviour of one static memory access (§III-A.3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryProfile {
     /// Number of accesses.
     pub accesses: u64,
@@ -119,7 +118,7 @@ pub fn class_stride_bytes(class: u8) -> u64 {
 }
 
 /// Dynamic instruction mix.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InstructionMix {
     /// Count per fine-grained instruction class.
     pub counts: BTreeMap<InstClass, u64>,
@@ -213,7 +212,7 @@ impl Observer for MixObserver {
 
 /// A static instruction descriptor recorded per basic block and consumed by
 /// the pattern recognizer when populating synthetic basic blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstDescriptor {
     /// Instruction class.
     pub class: InstClass,
@@ -225,7 +224,7 @@ pub struct InstDescriptor {
 
 /// The complete statistical profile of one workload (the "statistical
 /// profile" box of Figure 1 in the paper).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatisticalProfile {
     /// Name of the profiled workload.
     pub name: String,
@@ -327,7 +326,7 @@ impl StatisticalProfile {
 }
 
 /// Configuration of the profiling run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileConfig {
     /// The cache simulated while profiling to classify memory accesses
     /// (the paper simulates caches with Pin during profiling).

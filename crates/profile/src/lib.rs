@@ -17,8 +17,7 @@
 //!   recognizer when the synthesizer populates basic blocks with C
 //!   statements.
 //!
-//! Profiles are plain data (`serde`-serializable) and can be merged for
-//! benchmark consolidation.
+//! Profiles are plain data and can be merged for benchmark consolidation.
 //!
 //! # Example
 //!

@@ -8,11 +8,10 @@
 //! version; the scale-down operation itself lives in the synthesis crate.
 
 use bsg_ir::types::{BlockId, FuncId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a basic block across the whole program (SFGL node key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeKey {
     /// Function index.
     pub func: u32,
@@ -41,7 +40,7 @@ impl NodeKey {
 }
 
 /// A loop annotation in the SFGL.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SfglLoop {
     /// The loop header node.
     pub header: NodeKey,
@@ -71,7 +70,7 @@ impl SfglLoop {
 }
 
 /// The statistical flow graph with loop annotation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sfgl {
     /// Basic-block execution counts.
     pub nodes: BTreeMap<NodeKey, u64>,

@@ -340,11 +340,6 @@ impl DiskCache {
         }
     }
 
-    /// Whether the tier has turned itself off after repeated IO failures.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
     /// One real or injected IO failure: count it, and degrade to memory-only
     /// once [`DEGRADE_AFTER_IO_FAILURES`] failures land *consecutively* (a
     /// success in between resets the streak — transient hiccups don't kill

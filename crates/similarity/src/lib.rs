@@ -31,11 +31,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A normalized C token.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Token {
     /// A reserved word (`for`, `if`, `while`, `return`, ...).
     Keyword(String),
@@ -196,13 +195,6 @@ fn winnow(hashes: &[u64], k: usize, w: usize) -> HashSet<u64> {
         .collect()
 }
 
-/// Moss-style winnowing fingerprints: hash every `k`-gram of the token
-/// stream, then keep the minimum hash of every window of `w` consecutive
-/// k-grams.
-pub fn winnow_fingerprints(source: &str, k: usize, w: usize) -> HashSet<u64> {
-    winnow(&token_hashes(source), k, w)
-}
-
 /// Moss `k`-gram length, in tokens.
 const MOSS_K: usize = 5;
 /// Moss winnowing window, in `k`-grams.
@@ -319,7 +311,7 @@ pub fn jplag_similarity(a: &str, b: &str) -> f64 {
 }
 
 /// A combined similarity report between an original workload and its clone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimilarityReport {
     /// Moss-style winnowing containment.
     pub moss: f64,

@@ -8,7 +8,6 @@
 //! measures accuracy over an execution.
 
 use crate::exec::{InstSite, Observer};
-use serde::{Deserialize, Serialize};
 
 /// A branch's identity as seen by the predictors: the dense site id assigned
 /// by the program's [`ExecImage`](crate::image::ExecImage).  Using the dense
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub type BranchSite = u32;
 
 /// A 2-bit saturating counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counter2(u8);
 
 impl Counter2 {
@@ -198,7 +197,7 @@ impl Predictor for Hybrid {
 }
 
 /// Accuracy statistics of a predictor over an execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Conditional branches executed.
     pub branches: u64,

@@ -7,11 +7,10 @@
 //! over one address stream in a single pass, like the single-pass
 //! multi-configuration simulation the paper refers to (Hill & Smith).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cache configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -63,7 +62,7 @@ impl fmt::Display for CacheConfig {
 }
 
 /// Hit/miss statistics of a cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of accesses.
     pub accesses: u64,
@@ -219,11 +218,6 @@ impl CacheSweep {
             .iter()
             .map(|c| (c.config(), c.stats()))
             .collect()
-    }
-
-    /// The caches themselves (e.g. to reset them).
-    pub fn caches_mut(&mut self) -> &mut [Cache] {
-        &mut self.caches
     }
 }
 

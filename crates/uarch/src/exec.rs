@@ -83,18 +83,17 @@
 //!     sized) and every frame-load destination/frame-store source register
 //!     is int-banked.
 //!   - Float-slot shapes — `LoadFF`/`StoreFF` and the fused
-//!     `LoadFFloatAlu`/`FloatAluStoreF`/`LoadFFAluStoreFF`/`LoadFPairF`/
-//!     `StoreFFJump`/`LoadFUnFF`/`UnFFStoreF`/`LoadFUnFFStoreFF`/
-//!     `FloatPairStoreF`: every addressed slot is float-banked (so
-//!     `slots_float` is sized) and every frame-load destination/frame-store
-//!     source register is float-banked; float slots additionally never
-//!     observe their missing zero-fill because the type analysis proved
-//!     every read is preceded by a store (`typing::frame_entry_live`).
+//!     `LoadFFloatAlu`/`FloatAluStoreF`/`LoadFPairF`: every addressed slot
+//!     is float-banked (so `slots_float` is sized) and every frame-load
+//!     destination/frame-store source register is float-banked; float slots
+//!     additionally never observe their missing zero-fill because the type
+//!     analysis proved every read is preceded by a store
+//!     (`typing::frame_entry_live`).
 //!   - Register-only untagged shapes — `UnIF` (int source, float
 //!     destination), `FloatPair` (float banks throughout), `LoadGCmpBr`/
-//!     `LoadGFloatAlu`/`LoadFILoadG` global constituents (validated like
-//!     every `GlobalMem`): registers were bank-checked at decode exactly as
-//!     for their unfused forms.
+//!     `LoadFILoadG` global constituents (validated like every
+//!     `GlobalMem`): registers were bank-checked at decode exactly as for
+//!     their unfused forms.
 //!   - `LoadFrame`/`StoreFrame` (general): every slot index is wrapped below
 //!     `nslots` at run time and dispatched through `slot_banks`, whose entry
 //!     guarantees the chosen bank is sized.
@@ -319,49 +318,6 @@ pub fn execute_image<O: Observer + ?Sized>(
         return_value: ret,
         dynamic_instructions: engine.instructions,
         completed: !engine.halted,
-    }
-}
-
-/// Executes a program and also runs a secondary observer (convenience for the
-/// experiment harness, which frequently pairs a profiler with a cache model).
-pub fn execute_pair(
-    program: &Program,
-    first: &mut dyn Observer,
-    second: &mut dyn Observer,
-    config: &ExecConfig,
-) -> ExecOutcome {
-    let mut both = PairObserver { first, second };
-    execute(program, &mut both, config)
-}
-
-/// Fans every event out to two observers.
-pub struct PairObserver<'a> {
-    /// First observer.
-    pub first: &'a mut dyn Observer,
-    /// Second observer.
-    pub second: &'a mut dyn Observer,
-}
-
-impl Observer for PairObserver<'_> {
-    fn on_inst(&mut self, event: &InstEvent) {
-        self.first.on_inst(event);
-        self.second.on_inst(event);
-    }
-    fn on_block(&mut self, func: FuncId, block: BlockId, block_idx: u32) {
-        self.first.on_block(func, block, block_idx);
-        self.second.on_block(func, block, block_idx);
-    }
-    fn on_edge(&mut self, func: FuncId, from: BlockId, to: BlockId, edge_idx: u32) {
-        self.first.on_edge(func, from, to, edge_idx);
-        self.second.on_edge(func, from, to, edge_idx);
-    }
-    fn on_branch(&mut self, site: InstSite, site_id: u32, taken: bool) {
-        self.first.on_branch(site, site_id, taken);
-        self.second.on_branch(site, site_id, taken);
-    }
-    fn on_call(&mut self, caller: FuncId, callee: FuncId) {
-        self.first.on_call(caller, callee);
-        self.second.on_call(caller, callee);
     }
 }
 
@@ -1176,22 +1132,6 @@ impl<'a> Engine<'a> {
                             halt_poll!();
                             continue;
                         }
-                        Step::IntPairJump { a, b, target } => {
-                            exec_int_alu(a, &mut frame.ints);
-                            emit_at!(pc, 0, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            exec_int_alu(b, &mut frame.ints);
-                            emit_at!(pc, 1, None, None);
-                            // Absorbed Jump terminator at pc + 2: no event,
-                            // no budget charge, exactly like Step::Jump.
-                            let from = at(metas, pc + 2).site.block;
-                            observer.on_edge(func_id, from, target.block, target.edge_idx);
-                            observer.on_block(func_id, target.block, target.block_idx);
-                            pc = target.pc as usize;
-                            halt_poll!();
-                            continue;
-                        }
                         Step::IntAluJump { a, target } => {
                             exec_int_alu(a, &mut frame.ints);
                             emit_at!(pc, 0, None, None);
@@ -1390,19 +1330,6 @@ impl<'a> Engine<'a> {
                             pc += 2;
                             continue;
                         }
-                        Step::LoadGFloatAlu { dst, mem, b } => {
-                            let (value, byte_addr) = self.load_global(mem, frame);
-                            // dst is float-banked: the analysis proved the
-                            // region all-float, so as_float is the identity.
-                            *at_mut(&mut frame.floats, *dst as usize) = value.as_float();
-                            emit_at!(pc, 0, Some(byte_addr), None);
-                            halt_poll!();
-                            count_inst!();
-                            exec_float_alu(b, frame);
-                            emit_at!(pc, 1, None, None);
-                            pc += 2;
-                            continue;
-                        }
                         Step::LoadFIStoreG { dst, s, src, mem } => {
                             *at_mut(&mut frame.ints, *dst as usize) =
                                 *at(&frame.slots_int, s.slot as usize);
@@ -1419,26 +1346,6 @@ impl<'a> Engine<'a> {
                             let byte_addr = self.store_global(mem, frame, v);
                             emit_at!(pc, 1, store_read, Some(byte_addr));
                             pc += 2;
-                            continue;
-                        }
-                        Step::FloatPairStoreF { a, b, src, s } => {
-                            exec_float_alu(a, frame);
-                            emit_at!(pc, 0, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            exec_float_alu(b, frame);
-                            emit_at!(pc, 1, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, s.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                2,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, s.elem))
-                            );
-                            pc += 3;
                             continue;
                         }
                         Step::LoadGCmpBr {
@@ -1577,135 +1484,6 @@ impl<'a> Engine<'a> {
                             observer.on_block(func_id, target.block, target.block_idx);
                             pc = target.pc as usize;
                             halt_poll!();
-                            continue;
-                        }
-                        Step::StoreFFJump { src, s, target } => {
-                            *at_mut(&mut frame.slots_float, s.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                0,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, s.elem))
-                            );
-                            let from = at(metas, pc + 1).site.block;
-                            observer.on_edge(func_id, from, target.block, target.edge_idx);
-                            observer.on_block(func_id, target.block, target.block_idx);
-                            pc = target.pc as usize;
-                            halt_poll!();
-                            continue;
-                        }
-                        Step::LoadFUnFF {
-                            dst,
-                            s,
-                            op,
-                            udst,
-                            usrc,
-                        } => {
-                            *at_mut(&mut frame.floats, *dst as usize) =
-                                *at(&frame.slots_float, s.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, s.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            let v = *at(&frame.floats, *usrc as usize);
-                            *at_mut(&mut frame.floats, *udst as usize) = un_ff(*op, v);
-                            emit_at!(pc, 1, None, None);
-                            pc += 2;
-                            continue;
-                        }
-                        Step::UnFFStoreF {
-                            op,
-                            udst,
-                            usrc,
-                            src,
-                            s,
-                        } => {
-                            let v = *at(&frame.floats, *usrc as usize);
-                            *at_mut(&mut frame.floats, *udst as usize) = un_ff(*op, v);
-                            emit_at!(pc, 0, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, s.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                1,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, s.elem))
-                            );
-                            pc += 2;
-                            continue;
-                        }
-                        Step::LoadFUnFFStoreFF {
-                            dst,
-                            ls,
-                            op,
-                            udst,
-                            usrc,
-                            ssrc,
-                            ss,
-                        } => {
-                            *at_mut(&mut frame.floats, *dst as usize) =
-                                *at(&frame.slots_float, ls.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, ls.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            let v = *at(&frame.floats, *usrc as usize);
-                            *at_mut(&mut frame.floats, *udst as usize) = un_ff(*op, v);
-                            emit_at!(pc, 1, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, ss.slot as usize) =
-                                float_src(*ssrc, frame);
-                            emit_at!(
-                                pc,
-                                2,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, ss.elem))
-                            );
-                            pc += 3;
-                            continue;
-                        }
-                        Step::LoadFFAluStoreFF {
-                            dst,
-                            ls,
-                            b,
-                            src,
-                            ss,
-                        } => {
-                            *at_mut(&mut frame.floats, *dst as usize) =
-                                *at(&frame.slots_float, ls.slot as usize);
-                            emit_at!(
-                                pc,
-                                0,
-                                Some(self.image.layout.frame_addr(depth, ls.elem)),
-                                None
-                            );
-                            halt_poll!();
-                            count_inst!();
-                            exec_float_alu(b, frame);
-                            emit_at!(pc, 1, None, None);
-                            halt_poll!();
-                            count_inst!();
-                            *at_mut(&mut frame.slots_float, ss.slot as usize) =
-                                float_src(*src, frame);
-                            emit_at!(
-                                pc,
-                                2,
-                                None,
-                                Some(self.image.layout.frame_addr(depth, ss.elem))
-                            );
-                            pc += 3;
                             continue;
                         }
                         // --- general (bank-table) steps ----------------------
@@ -2147,11 +1925,6 @@ impl<'a> LegacyMachine<'a> {
         let i = elem.rem_euclid(n.max(1)) as usize;
         arr[i] = value;
     }
-}
-
-/// Convenience: the dynamic instruction count of a full run.
-pub fn dynamic_instruction_count(program: &Program) -> u64 {
-    run(program).dynamic_instructions
 }
 
 /// An observer that simply counts events; useful as a cheap smoke check and

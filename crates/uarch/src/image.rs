@@ -50,10 +50,15 @@
 //!   load-consume idioms;
 //! * untagged **frame-slot** loads/stores adjacent to their ALU
 //!   ([`Step::LoadFIntAlu`], [`Step::IntAluStoreF`], [`Step::LoadFFloatAlu`],
-//!   [`Step::FloatAluStoreF`]) and the three-step read-modify-write shape
-//!   ([`Step::LoadFAluStoreF`] / [`Step::LoadFFAluStoreFF`]) — `-O0` reloads
-//!   every scalar before use and spills it after every def, so frame-slot
-//!   traffic dominates `-O0` loop bodies.
+//!   [`Step::FloatAluStoreF`]) and the three-step int read-modify-write shape
+//!   ([`Step::LoadFAluStoreF`]) — `-O0` reloads every scalar before use and
+//!   spills it after every def, so frame-slot traffic dominates `-O0` loop
+//!   bodies.
+//!
+//! [`FUSED_SHAPES`] lists every shape.  Each one costs a variant, a fusion
+//! rule, an executor arm and verifier rows, so a shape is kept only while
+//! it carries at least 0.1% of fused-loop dispatches on the report or the
+//! serve traffic, as the `step_histo` census measures.
 //!
 //! Fusion never changes observable semantics: the fused step replays each
 //! constituent's budget/halt protocol and observer events exactly as the
@@ -244,16 +249,6 @@ pub(crate) enum Step {
         /// Jump target.
         target: EdgeTarget,
     },
-    /// Fused triple: two integer ALUs + the block's unconditional jump
-    /// (accumulate + induction-step + latch, the classic loop-body tail).
-    IntPairJump {
-        /// First ALU constituent (at this step's site).
-        a: IntAlu,
-        /// Second ALU constituent (at site `pc + 1`).
-        b: IntAlu,
-        /// Jump target (terminator at site `pc + 2`).
-        target: EdgeTarget,
-    },
     /// Fused untagged global load + integer ALU.
     LoadGIntAlu {
         /// Load destination (int bank).
@@ -365,18 +360,6 @@ pub(crate) enum Step {
         /// Predecoded global reference.
         mem: GlobalMem,
     },
-    /// Fused pair of float ALUs + float frame store (`v = a*b + c*d` tails:
-    /// the pair fusion consumes the ALU the store would otherwise fuse with).
-    FloatPairStoreF {
-        /// First ALU constituent.
-        a: FloatAlu,
-        /// Second ALU constituent (site `pc + 1`).
-        b: FloatAlu,
-        /// Stored operand (float-provable; store at site `pc + 2`).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        s: FrameSlot,
-    },
     /// Fused untagged global load + compare + conditional branch — loop
     /// conditions over array elements (`while (tree[n] != 0)`).
     LoadGCmpBr {
@@ -392,15 +375,6 @@ pub(crate) enum Step {
         taken: EdgeTarget,
         /// Target when `ints[cond] == 0`.
         not_taken: EdgeTarget,
-    },
-    /// Fused untagged float global load + float ALU (`sig[t] * cr`).
-    LoadGFloatAlu {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Predecoded global reference.
-        mem: GlobalMem,
-        /// The float ALU constituent (at site `pc + 1`).
-        b: FloatAlu,
     },
     /// Fused pair of adjacent untagged int frame-slot loads (binary-operator
     /// operand reloads: `-O0` loads both variables of `a op b` back to back).
@@ -450,73 +424,6 @@ pub(crate) enum Step {
         s: FrameSlot,
         /// Jump target (terminator at site `pc + 1`).
         target: EdgeTarget,
-    },
-    /// Float counterpart of [`Step::StoreFIJump`].
-    StoreFFJump {
-        /// Stored operand (float-provable).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        s: FrameSlot,
-        /// Jump target (terminator at site `pc + 1`).
-        target: EdgeTarget,
-    },
-    /// Fused float frame load + float unary.
-    LoadFUnFF {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Loaded slot (float bank).
-        s: FrameSlot,
-        /// Unary operation (the `un_ff` subset; at site `pc + 1`).
-        op: UnOp,
-        /// Unary destination (float bank).
-        udst: u32,
-        /// Unary source (float bank).
-        usrc: u32,
-    },
-    /// Fused float unary + float frame store.
-    UnFFStoreF {
-        /// Unary operation (the `un_ff` subset).
-        op: UnOp,
-        /// Unary destination (float bank).
-        udst: u32,
-        /// Unary source (float bank).
-        usrc: u32,
-        /// Stored operand (float-provable; store at site `pc + 1`).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        s: FrameSlot,
-    },
-    /// Fused triple: float frame load + float unary + float frame store —
-    /// `y = f(x)` over float `-O0` locals (`cr = cos(ang)` and friends).
-    LoadFUnFFStoreFF {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Loaded slot (float bank).
-        ls: FrameSlot,
-        /// Unary operation (the `un_ff` subset; at site `pc + 1`).
-        op: UnOp,
-        /// Unary destination (float bank).
-        udst: u32,
-        /// Unary source (float bank).
-        usrc: u32,
-        /// Stored operand (float-provable; store at site `pc + 2`).
-        ssrc: FloatSrc,
-        /// Stored slot (float bank).
-        ss: FrameSlot,
-    },
-    /// Fused float read-modify-write triple: float frame load + float ALU +
-    /// float frame store (`x = x op e` on a float `-O0` local).
-    LoadFFAluStoreFF {
-        /// Load destination (float bank).
-        dst: u32,
-        /// Loaded slot (float bank).
-        ls: FrameSlot,
-        /// The float ALU constituent (at site `pc + 1`).
-        b: FloatAlu,
-        /// Stored operand (float-provable; store at site `pc + 2`).
-        src: FloatSrc,
-        /// Stored slot (float bank).
-        ss: FrameSlot,
     },
     /// Untagged float arithmetic (`Add`/`Sub`/`Mul`/`Div`/`Rem`), `f64` in,
     /// `f64` out.
@@ -723,103 +630,63 @@ pub(crate) enum Step {
     },
 }
 
-impl Step {
-    /// Variant name for diagnostics ([`ExecImage::step_histogram`]).
-    pub(crate) fn variant_name(&self) -> &'static str {
-        match self {
-            Step::IntAlu(_) => "IntAlu",
-            Step::IntPair(..) => "IntPair",
-            Step::IntCmpBr { .. } => "IntCmpBr",
-            Step::IntAluJump { .. } => "IntAluJump",
-            Step::IntPairJump { .. } => "IntPairJump",
-            Step::LoadGIntAlu { .. } => "LoadGIntAlu",
-            Step::IntAluLoadG { .. } => "IntAluLoadG",
-            Step::LoadFIntAlu { .. } => "LoadFIntAlu",
-            Step::IntAluStoreF { .. } => "IntAluStoreF",
-            Step::LoadFFloatAlu { .. } => "LoadFFloatAlu",
-            Step::FloatAluStoreF { .. } => "FloatAluStoreF",
-            Step::FloatPair(..) => "FloatPair",
-            Step::LoadFIStoreG { .. } => "LoadFIStoreG",
-            Step::FloatPairStoreF { .. } => "FloatPairStoreF",
-            Step::LoadGCmpBr { .. } => "LoadGCmpBr",
-            Step::LoadFILoadG { .. } => "LoadFILoadG",
-            Step::StoreFLoadF { .. } => "StoreFLoadF",
-            Step::LoadGFloatAlu { .. } => "LoadGFloatAlu",
-            Step::LoadFAluStoreF { .. } => "LoadFAluStoreF",
-            Step::LoadFPairI { .. } => "LoadFPairI",
-            Step::LoadFPairF { .. } => "LoadFPairF",
-            Step::LoadFCmpBr { .. } => "LoadFCmpBr",
-            Step::StoreFIJump { .. } => "StoreFIJump",
-            Step::StoreFFJump { .. } => "StoreFFJump",
-            Step::LoadFUnFF { .. } => "LoadFUnFF",
-            Step::UnFFStoreF { .. } => "UnFFStoreF",
-            Step::LoadFUnFFStoreFF { .. } => "LoadFUnFFStoreFF",
-            Step::LoadFFAluStoreFF { .. } => "LoadFFAluStoreFF",
-            Step::FloatAlu(_) => "FloatAlu",
-            Step::FloatCmp(_) => "FloatCmp",
-            Step::UnII { .. } => "UnII",
-            Step::UnFF { .. } => "UnFF",
-            Step::UnIF { .. } => "UnIF",
-            Step::IMovI { .. } => "IMovI",
-            Step::FMovI { .. } => "FMovI",
-            Step::IMovRR { .. } => "IMovRR",
-            Step::FMovRR { .. } => "FMovRR",
-            Step::IntBin { .. } => "IntBin",
-            Step::FloatBin { .. } => "FloatBin",
-            Step::Un { .. } => "Un",
-            Step::Mov { .. } => "Mov",
-            Step::LoadFI { .. } => "LoadFI",
-            Step::LoadFF { .. } => "LoadFF",
-            Step::StoreFI { .. } => "StoreFI",
-            Step::StoreFF { .. } => "StoreFF",
-            Step::LoadGlobal { .. } => "LoadGlobal",
-            Step::LoadFrame { .. } => "LoadFrame",
-            Step::StoreGlobal { .. } => "StoreGlobal",
-            Step::StoreFrame { .. } => "StoreFrame",
-            Step::Call { .. } => "Call",
-            Step::Print { .. } => "Print",
-            Step::Nop => "Nop",
-            Step::Jump(_) => "Jump",
-            Step::Branch { .. } => "Branch",
-            Step::Return { .. } => "Return",
-        }
-    }
+/// Declares every [`Step`] variant once, grouped by how many step slots its
+/// dispatch covers, and generates [`Step::variant_name`], [`Step::footprint`]
+/// and [`FUSED_SHAPES`] from that one list.  The generated matches are
+/// exhaustive, so a new variant does not compile until it is placed in a
+/// group, and a fused one is in [`FUSED_SHAPES`] by construction.
+macro_rules! step_shapes {
+    (
+        single: [$($one:ident),* $(,)?],
+        pair: [$($two:ident),* $(,)?],
+        triple: [$($three:ident),* $(,)?],
+        to_block_end: [$($end:ident),* $(,)?] $(,)?
+    ) => {
+        impl Step {
+            /// Variant name for diagnostics ([`ExecImage::step_histogram`]).
+            pub(crate) fn variant_name(&self) -> &'static str {
+                match self {
+                    $(Step::$one { .. } => stringify!($one),)*
+                    $(Step::$two { .. } => stringify!($two),)*
+                    $(Step::$three { .. } => stringify!($three),)*
+                    $(Step::$end { .. } => stringify!($end),)*
+                }
+            }
 
-    /// How many step slots this dispatch point covers (`None`: absorbs the
-    /// block's terminator, i.e. covers through end of block).  Must agree
-    /// with the executor's `pc` advance per arm.
-    pub(crate) fn footprint(&self) -> Option<usize> {
-        match self {
-            Step::IntPair(..)
-            | Step::LoadGIntAlu { .. }
-            | Step::IntAluLoadG { .. }
-            | Step::LoadFIntAlu { .. }
-            | Step::IntAluStoreF { .. }
-            | Step::LoadFPairI { .. }
-            | Step::LoadFPairF { .. }
-            | Step::LoadFUnFF { .. }
-            | Step::UnFFStoreF { .. }
-            | Step::LoadFFloatAlu { .. }
-            | Step::FloatAluStoreF { .. }
-            | Step::FloatPair(..)
-            | Step::LoadFIStoreG { .. }
-            | Step::LoadFILoadG { .. }
-            | Step::StoreFLoadF { .. }
-            | Step::LoadGFloatAlu { .. } => Some(2),
-            Step::LoadFAluStoreF { .. }
-            | Step::LoadFFAluStoreFF { .. }
-            | Step::FloatPairStoreF { .. }
-            | Step::LoadFUnFFStoreFF { .. } => Some(3),
-            Step::IntCmpBr { .. }
-            | Step::IntAluJump { .. }
-            | Step::IntPairJump { .. }
-            | Step::LoadFCmpBr { .. }
-            | Step::LoadGCmpBr { .. }
-            | Step::StoreFIJump { .. }
-            | Step::StoreFFJump { .. } => None,
-            _ => Some(1),
+            /// How many step slots this dispatch point covers (`None`:
+            /// absorbs the block's terminator, i.e. covers through end of
+            /// block).  Must agree with the executor's `pc` advance per arm.
+            pub(crate) fn footprint(&self) -> Option<usize> {
+                match self {
+                    $(Step::$one { .. })|* => Some(1),
+                    $(Step::$two { .. })|* => Some(2),
+                    $(Step::$three { .. })|* => Some(3),
+                    $(Step::$end { .. })|* => None,
+                }
+            }
         }
-    }
+
+        /// Names of every fused superinstruction shape the fusion pass can
+        /// emit: exactly the [`Step`] variants whose footprint is not one
+        /// slot, as [`ExecImage::step_histogram`] names them.
+        pub const FUSED_SHAPES: &[&str] = &[
+            $(stringify!($two),)* $(stringify!($three),)* $(stringify!($end),)*
+        ];
+    };
+}
+
+step_shapes! {
+    single: [
+        IntAlu, FloatAlu, FloatCmp, UnII, UnFF, UnIF, IMovI, FMovI, IMovRR, FMovRR, IntBin,
+        FloatBin, Un, Mov, LoadGlobal, LoadFI, LoadFF, StoreFI, StoreFF, LoadFrame, StoreGlobal,
+        StoreFrame, Call, Print, Nop, Jump, Branch, Return,
+    ],
+    pair: [
+        IntPair, LoadGIntAlu, IntAluLoadG, LoadFIntAlu, IntAluStoreF, LoadFFloatAlu,
+        FloatAluStoreF, FloatPair, LoadFILoadG, StoreFLoadF, LoadFIStoreG, LoadFPairI, LoadFPairF,
+    ],
+    triple: [LoadFAluStoreF],
+    to_block_end: [IntCmpBr, IntAluJump, LoadGCmpBr, LoadFCmpBr, StoreFIJump],
 }
 
 /// Predecoded per-site metadata: everything observers need that is static.
@@ -1681,11 +1548,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                             s: *s,
                             target: *target,
                         }),
-                        (Step::StoreFF { src, s }, Step::Jump(target)) => Some(Step::StoreFFJump {
-                            src: *src,
-                            s: *s,
-                            target: *target,
-                        }),
                         _ => None,
                     };
                     if let Some(r) = replacement {
@@ -1697,13 +1559,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                 // Last-two body steps + terminator: three-way fusions.
                 if i + 2 == term {
                     let replacement = match (&steps[i], &steps[i + 1], &steps[term]) {
-                        (Step::IntAlu(a), Step::IntAlu(b), Step::Jump(t)) => {
-                            Some(Step::IntPairJump {
-                                a: *a,
-                                b: *b,
-                                target: *t,
-                            })
-                        }
                         // The -O0 while-header: reload the induction
                         // variable, compare, branch.
                         (
@@ -1753,8 +1608,8 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                         break;
                     }
                 }
-                // Read-modify-write triples over one frame slot bank (the
-                // `-O0` `x = x op e` shape), strictly inside the body.
+                // The int read-modify-write triple (the `-O0` `x = x op e`
+                // shape), strictly inside the body.
                 if i + 2 < term {
                     let replacement = match (&steps[i], &steps[i + 1], &steps[i + 2]) {
                         (
@@ -1766,42 +1621,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                             ls: *s,
                             b: *b,
                             src: *src,
-                            ss: *ss,
-                        }),
-                        (
-                            Step::LoadFF { dst, s },
-                            Step::FloatAlu(b),
-                            Step::StoreFF { src, s: ss },
-                        ) => Some(Step::LoadFFAluStoreFF {
-                            dst: *dst,
-                            ls: *s,
-                            b: *b,
-                            src: *src,
-                            ss: *ss,
-                        }),
-                        (Step::FloatAlu(a), Step::FloatAlu(b), Step::StoreFF { src, s }) => {
-                            Some(Step::FloatPairStoreF {
-                                a: *a,
-                                b: *b,
-                                src: *src,
-                                s: *s,
-                            })
-                        }
-                        (
-                            Step::LoadFF { dst, s },
-                            Step::UnFF {
-                                op,
-                                dst: udst,
-                                src: usrc,
-                            },
-                            Step::StoreFF { src, s: ss },
-                        ) => Some(Step::LoadFUnFFStoreFF {
-                            dst: *dst,
-                            ls: *s,
-                            op: *op,
-                            udst: *udst,
-                            usrc: *usrc,
-                            ssrc: *src,
                             ss: *ss,
                         }),
                         _ => None,
@@ -1867,18 +1686,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                             mem: *mem,
                         })
                     }
-                    (
-                        Step::LoadGlobal {
-                            dst,
-                            bank: RegBank::Float,
-                            mem,
-                        },
-                        Step::FloatAlu(b),
-                    ) => Some(Step::LoadGFloatAlu {
-                        dst: *dst,
-                        mem: *mem,
-                        b: *b,
-                    }),
                     (Step::LoadFI { dst: dst1, s: s1 }, Step::LoadFI { dst: dst2, s: s2 }) => {
                         Some(Step::LoadFPairI {
                             dst1: *dst1,
@@ -1895,34 +1702,6 @@ fn fuse_blocks(steps: &mut [Step], funcs: &[FuncImage]) -> u32 {
                             s2: *s2,
                         })
                     }
-                    (
-                        Step::LoadFF { dst, s },
-                        Step::UnFF {
-                            op,
-                            dst: udst,
-                            src: usrc,
-                        },
-                    ) => Some(Step::LoadFUnFF {
-                        dst: *dst,
-                        s: *s,
-                        op: *op,
-                        udst: *udst,
-                        usrc: *usrc,
-                    }),
-                    (
-                        Step::UnFF {
-                            op,
-                            dst: udst,
-                            src: usrc,
-                        },
-                        Step::StoreFF { src, s },
-                    ) => Some(Step::UnFFStoreF {
-                        op: *op,
-                        udst: *udst,
-                        usrc: *usrc,
-                        src: *src,
-                        s: *s,
-                    }),
                     (
                         Step::IntAlu(a),
                         Step::LoadGlobal {

@@ -12,13 +12,12 @@ use crate::batch::simulate_image_batch;
 use crate::image::ExecImage;
 use crate::pipeline::{simulate, simulate_image, PipelineConfig, PipelineResult};
 use bsg_ir::Program;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The instruction-set architecture a machine executes (mirrors the compiler
 /// crate's `TargetIsa`; kept separate so the microarchitecture substrate does
 /// not depend on the compiler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineIsa {
     /// 32-bit x86.
     X86,
@@ -40,7 +39,7 @@ impl fmt::Display for MachineIsa {
 }
 
 /// A machine under study (one row of Table III).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Human-readable machine name as used in the paper.
     pub name: String,
@@ -165,7 +164,7 @@ impl MachineConfig {
 }
 
 /// The outcome of running a program on a machine model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineResult {
     /// Machine name.
     pub machine: String,

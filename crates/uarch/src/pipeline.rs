@@ -21,11 +21,10 @@ use crate::image::ExecImage;
 use bsg_ir::types::{FuncId, Reg};
 use bsg_ir::visa::{Inst, InstClass, Terminator};
 use bsg_ir::Program;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Configuration of a pipeline timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Issue width (instructions dispatched per cycle).
     pub width: u32,
@@ -103,7 +102,7 @@ impl PipelineConfig {
 }
 
 /// Timing result of a simulated execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineResult {
     /// Total cycles.
     pub cycles: u64,

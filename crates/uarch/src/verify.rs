@@ -652,9 +652,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
             },
         ],
         Step::IntAluJump { a, target } => vec![Step::IntAlu(*a), Step::Jump(*target)],
-        Step::IntPairJump { a, b, target } => {
-            vec![Step::IntAlu(*a), Step::IntAlu(*b), Step::Jump(*target)]
-        }
         Step::LoadGIntAlu { dst, mem, b } => vec![
             Step::LoadGlobal {
                 dst: *dst,
@@ -720,11 +717,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
                 mem: *mem,
             },
         ],
-        Step::FloatPairStoreF { a, b, src, s } => vec![
-            Step::FloatAlu(*a),
-            Step::FloatAlu(*b),
-            Step::StoreFF { src: *src, s: *s },
-        ],
         Step::LoadGCmpBr {
             dst,
             mem,
@@ -745,14 +737,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
                 taken: *taken,
                 not_taken: *not_taken,
             },
-        ],
-        Step::LoadGFloatAlu { dst, mem, b } => vec![
-            Step::LoadGlobal {
-                dst: *dst,
-                bank: RegBank::Float,
-                mem: *mem,
-            },
-            Step::FloatAlu(*b),
         ],
         Step::LoadFPairI { dst1, s1, dst2, s2 } => vec![
             Step::LoadFI { dst: *dst1, s: *s1 },
@@ -782,65 +766,6 @@ pub(crate) fn decompose(step: &Step) -> Option<(Vec<Step>, bool)> {
         Step::StoreFIJump { src, s, target } => {
             vec![Step::StoreFI { src: *src, s: *s }, Step::Jump(*target)]
         }
-        Step::StoreFFJump { src, s, target } => {
-            vec![Step::StoreFF { src: *src, s: *s }, Step::Jump(*target)]
-        }
-        Step::LoadFUnFF {
-            dst,
-            s,
-            op,
-            udst,
-            usrc,
-        } => vec![
-            Step::LoadFF { dst: *dst, s: *s },
-            Step::UnFF {
-                op: *op,
-                dst: *udst,
-                src: *usrc,
-            },
-        ],
-        Step::UnFFStoreF {
-            op,
-            udst,
-            usrc,
-            src,
-            s,
-        } => vec![
-            Step::UnFF {
-                op: *op,
-                dst: *udst,
-                src: *usrc,
-            },
-            Step::StoreFF { src: *src, s: *s },
-        ],
-        Step::LoadFUnFFStoreFF {
-            dst,
-            ls,
-            op,
-            udst,
-            usrc,
-            ssrc,
-            ss,
-        } => vec![
-            Step::LoadFF { dst: *dst, s: *ls },
-            Step::UnFF {
-                op: *op,
-                dst: *udst,
-                src: *usrc,
-            },
-            Step::StoreFF { src: *ssrc, s: *ss },
-        ],
-        Step::LoadFFAluStoreFF {
-            dst,
-            ls,
-            b,
-            src,
-            ss,
-        } => vec![
-            Step::LoadFF { dst: *dst, s: *ls },
-            Step::FloatAlu(*b),
-            Step::StoreFF { src: *src, s: *ss },
-        ],
         _ => return None,
     };
     Some((parts, absorbs))
@@ -2389,16 +2314,10 @@ fn first_slot_mut(step: &mut Step) -> Option<&mut FrameSlot> {
         | Step::LoadFILoadG { s1: s, .. }
         | Step::StoreFLoadF { ss: s, .. }
         | Step::LoadFIStoreG { s, .. }
-        | Step::FloatPairStoreF { s, .. }
         | Step::LoadFPairI { s1: s, .. }
         | Step::LoadFPairF { s1: s, .. }
         | Step::LoadFCmpBr { s, .. }
         | Step::StoreFIJump { s, .. }
-        | Step::StoreFFJump { s, .. }
-        | Step::LoadFUnFF { s, .. }
-        | Step::UnFFStoreF { s, .. }
-        | Step::LoadFUnFFStoreFF { ls: s, .. }
-        | Step::LoadFFAluStoreFF { ls: s, .. }
         | Step::LoadFAluStoreF { ls: s, .. } => Some(s),
         _ => None,
     }
@@ -2408,9 +2327,7 @@ fn first_edge_mut(step: &mut Step) -> Option<&mut EdgeTarget> {
     match step {
         Step::Jump(t)
         | Step::IntAluJump { target: t, .. }
-        | Step::IntPairJump { target: t, .. }
-        | Step::StoreFIJump { target: t, .. }
-        | Step::StoreFFJump { target: t, .. } => Some(t),
+        | Step::StoreFIJump { target: t, .. } => Some(t),
         Step::Branch { taken: t, .. }
         | Step::IntCmpBr { taken: t, .. }
         | Step::LoadFCmpBr { taken: t, .. }
@@ -2425,14 +2342,12 @@ fn first_dst_mut(step: &mut Step) -> Option<&mut u32> {
         | Step::IntPair(a, _)
         | Step::IntCmpBr { a, .. }
         | Step::IntAluJump { a, .. }
-        | Step::IntPairJump { a, .. }
         | Step::IntAluLoadG { a, .. }
         | Step::IntAluStoreF { a, .. } => Some(&mut a.dst),
         Step::FloatAlu(a)
         | Step::FloatCmp(a)
         | Step::FloatPair(a, _)
-        | Step::FloatAluStoreF { a, .. }
-        | Step::FloatPairStoreF { a, .. } => Some(&mut a.dst),
+        | Step::FloatAluStoreF { a, .. } => Some(&mut a.dst),
         Step::UnII { dst, .. }
         | Step::UnFF { dst, .. }
         | Step::UnIF { dst, .. }
@@ -2451,13 +2366,9 @@ fn first_dst_mut(step: &mut Step) -> Option<&mut u32> {
         | Step::LoadGIntAlu { dst, .. }
         | Step::LoadFIntAlu { dst, .. }
         | Step::LoadFFloatAlu { dst, .. }
-        | Step::LoadGFloatAlu { dst, .. }
         | Step::LoadFCmpBr { dst, .. }
         | Step::LoadGCmpBr { dst, .. }
         | Step::LoadFAluStoreF { dst, .. }
-        | Step::LoadFFAluStoreFF { dst, .. }
-        | Step::LoadFUnFF { dst, .. }
-        | Step::LoadFUnFFStoreFF { dst, .. }
         | Step::StoreFLoadF { dst, .. }
         | Step::LoadFIStoreG { dst, .. } => Some(dst),
         Step::LoadFILoadG { dst1, .. }
@@ -2475,8 +2386,7 @@ fn first_gmem_mut(step: &mut Step) -> Option<&mut GlobalMem> {
         | Step::IntAluLoadG { mem, .. }
         | Step::LoadFILoadG { mem, .. }
         | Step::LoadFIStoreG { mem, .. }
-        | Step::LoadGCmpBr { mem, .. }
-        | Step::LoadGFloatAlu { mem, .. } => Some(mem),
+        | Step::LoadGCmpBr { mem, .. } => Some(mem),
         _ => None,
     }
 }
@@ -2538,9 +2448,7 @@ pub fn corrupt_image(image: &ExecImage, c: Corruption) -> Option<ExecImage> {
             _ => false,
         }),
         Corruption::DroppedBudgetArm => img.steps.iter_mut().any(|step| match step {
-            Step::IntAluJump { target, .. }
-            | Step::StoreFIJump { target, .. }
-            | Step::StoreFFJump { target, .. } => {
+            Step::IntAluJump { target, .. } | Step::StoreFIJump { target, .. } => {
                 *step = Step::Jump(*target);
                 true
             }
@@ -2555,13 +2463,6 @@ pub fn corrupt_image(image: &ExecImage, c: Corruption) -> Option<ExecImage> {
                     bank: RegBank::Int,
                     taken: *taken,
                     not_taken: *not_taken,
-                };
-                true
-            }
-            Step::IntPairJump { a, target, .. } => {
-                *step = Step::IntAluJump {
-                    a: *a,
-                    target: *target,
                 };
                 true
             }

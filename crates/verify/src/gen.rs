@@ -258,8 +258,8 @@ impl Gen {
 /// Generates an `-O0`-shaped program: a counted loop whose body is made of
 /// frame-slot read-modify-write fragments over a **mixed int/float** frame —
 /// the exact shapes the per-slot typing untags and the frame-fusion pass
-/// collapses (`LoadFCmpBr` headers, `LoadFAluStoreF`/`LoadFFAluStoreFF`/
-/// `LoadFUnFFStoreFF` bodies, `StoreFIJump` latches, slot-load pairs) — plus
+/// collapses (`LoadFCmpBr` headers, `LoadFAluStoreF` int bodies,
+/// `LoadFFloatAlu` float bodies, `StoreFIJump` latches, slot-load pairs) — plus
 /// register-indexed (dynamic) frame and global traffic, and slots that are
 /// deliberately left to their implicit `Int(0)` initialization so the
 /// init-observability analysis is exercised in both directions.

@@ -35,12 +35,11 @@ pub mod spec;
 pub use registry::{SuiteOrigin, WorkloadRegistry, WorkloadSpec};
 
 use bsg_ir::hll::HllProgram;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Input size, mirroring MiBench's small/large data sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputSize {
     /// Small input (quick profiling runs, unit tests).
     Small,
