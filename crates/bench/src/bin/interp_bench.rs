@@ -39,7 +39,7 @@ use bsg_ir::program::{Function, Global, Program};
 use bsg_ir::types::Ty;
 use bsg_ir::visa::{Address, BinOp, Inst, Operand, Terminator};
 use bsg_profile::{profile_image, profile_program_reference, ProfileConfig};
-use bsg_runtime::{ArtifactStore, CompiledArtifact, Runtime};
+use bsg_runtime::{store::Compile, ArtifactStore, CompiledArtifact, Runtime};
 use bsg_uarch::batch::{simulate_configs, simulate_image_batch};
 use bsg_uarch::exec::{execute_image, execute_legacy, ExecConfig, NullObserver};
 use bsg_uarch::image::ExecImage;
@@ -186,10 +186,10 @@ fn main() {
     let micro = strided_loop(1 << 14, 3, 400_000);
     let micro_image = ExecImage::new(&micro);
     let micro_unfused = ExecImage::unfused(&micro);
+    let o0 = CompileOptions::portable(OptLevel::O0);
     let compiled: Vec<(String, Arc<CompiledArtifact>, ExecImage)> =
         Runtime::global().map(suite(input), |w| {
-            let art = ArtifactStore::global()
-                .compiled(&w.program, &CompileOptions::portable(OptLevel::O0));
+            let art = ArtifactStore::global().get(Compile::of(&w.program, o0));
             let unfused = ExecImage::unfused(&art.program);
             (w.name, art, unfused)
         });

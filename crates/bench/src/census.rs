@@ -9,7 +9,7 @@
 
 use crate::{Experiment, WorkloadArtifacts};
 use bsg_compiler::{CompileOptions, OptLevel, TargetIsa};
-use bsg_runtime::{ArtifactStore, CompiledArtifact};
+use bsg_runtime::{store::Compile, ArtifactStore, CompiledArtifact};
 use bsg_uarch::exec::{execute_image, ExecConfig, InstEvent, Observer};
 use bsg_uarch::image::ExecImage;
 use bsg_workloads::{suite, InputSize};
@@ -57,7 +57,7 @@ pub fn serve_traffic() -> Vec<CensusImage> {
             for isa in TargetIsa::ALL {
                 images.push(CensusImage {
                     weight: 1,
-                    artifact: store.compiled(&w.program, &CompileOptions::new(level, isa)),
+                    artifact: store.get(Compile::of(&w.program, CompileOptions::new(level, isa))),
                 });
             }
         }

@@ -39,6 +39,7 @@ pub use experiment::{cross, refs, Experiment, Measured, Section};
 
 use bsg_compiler::{CompileOptions, OptLevel, TargetIsa};
 use bsg_profile::{MixObserver, NodeKey, ProfileConfig, Sfgl, SfglLoop, StatisticalProfile};
+use bsg_runtime::store::{CText, Compile, Profile, Synthesis};
 use bsg_runtime::{ArtifactStore, CompiledArtifact, Runtime, SourceId};
 use bsg_similarity::SimilarityReport;
 use bsg_synth::{scale_down, SynthesisConfig, TargetedSynthesis};
@@ -110,15 +111,15 @@ impl WorkloadArtifacts {
             );
         }
         let store = ArtifactStore::global();
-        let profile = store.try_profile(
-            &workload.program,
-            &CompileOptions::portable(OptLevel::O0),
-            &workload.name,
-            &ProfileConfig::default(),
-        )?;
-        let synthesis =
-            store.try_synthesis(&profile, &SynthesisConfig::default(), target_instructions)?;
         let original_id = SourceId::of(workload.program.as_ref());
+        let o0 = Compile(
+            original_id,
+            &workload.program,
+            CompileOptions::portable(OptLevel::O0),
+        );
+        let profile = store.try_get(Profile(o0, &workload.name, &ProfileConfig::default()))?;
+        let config = SynthesisConfig::default();
+        let synthesis = store.try_get(Synthesis(&profile, &config, target_instructions))?;
         let synthetic_id = SourceId::of(&synthesis.benchmark.hll);
         Ok(WorkloadArtifacts {
             workload,
@@ -138,7 +139,7 @@ impl WorkloadArtifacts {
         } else {
             (self.original_id, self.workload.program.as_ref())
         };
-        ArtifactStore::global().compiled_keyed(id, hll, options)
+        ArtifactStore::global().get(Compile(id, hll, *options))
     }
 
     /// Compiles the original and the clone with the same options.
@@ -631,7 +632,7 @@ pub fn fig02() -> String {
 pub fn fig03() -> String {
     let original = fibonacci_workload(20);
     let art = WorkloadArtifacts::prepare(original, 2_000);
-    let original_c = ArtifactStore::global().c_text(&art.workload.program);
+    let original_c = ArtifactStore::global().get(CText(&art.workload.program));
     let mut out = String::new();
     let _ = writeln!(out, "Figure 3(a) — original fibonacci kernel\n");
     out.push_str(&original_c);
@@ -939,11 +940,11 @@ fn machine_axis_times(
 fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title: &str) -> String {
     // Consolidate the whole suite into a single profile and clone.
     let merged = bsg_synth::consolidate(artifacts.iter().map(|a| a.profile.as_ref()));
-    let consolidated = ArtifactStore::global().synthesis(
+    let consolidated = ArtifactStore::global().get(Synthesis(
         &merged,
         &SynthesisConfig::default(),
         SYNTH_TARGET_INSTRUCTIONS * 2,
-    );
+    ));
     let consolidated = &consolidated;
     let consolidated_id = SourceId::of(&consolidated.benchmark.hll);
 
@@ -964,11 +965,11 @@ fn fig11_over(artifacts: &[WorkloadArtifacts], machines: &[MachineConfig], title
             let options = CompileOptions::new(*level, target_isa_for(isa));
             match unit {
                 Some(a) => a.compiled(&options, false),
-                None => ArtifactStore::global().compiled_keyed(
+                None => ArtifactStore::global().get(Compile(
                     consolidated_id,
                     &consolidated.benchmark.hll,
-                    &options,
-                ),
+                    options,
+                )),
             }
         };
         machine_axis_times(machines, &compiled_for)
@@ -1025,7 +1026,7 @@ pub fn fig11x(artifacts: &[WorkloadArtifacts]) -> String {
 /// §V-E: Moss / JPlag similarity between each original and its clone.
 pub fn obfuscation(artifacts: &[WorkloadArtifacts]) -> String {
     let m = Experiment::over(refs(artifacts)).measure(|a| {
-        let original_c = ArtifactStore::global().c_text(&a.workload.program);
+        let original_c = ArtifactStore::global().get(CText(&a.workload.program));
         SimilarityReport::compare(&original_c, &a.synthesis.benchmark.c_source)
     });
     let mut out = String::new();

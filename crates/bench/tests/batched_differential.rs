@@ -17,7 +17,7 @@
 
 use bsg_bench::{fig11, WorkloadArtifacts};
 use bsg_compiler::{CompileOptions, OptLevel};
-use bsg_runtime::{with_workers, ArtifactStore, CompiledArtifact};
+use bsg_runtime::{store::Compile, with_workers, ArtifactStore, CompiledArtifact};
 use bsg_uarch::batch::{simulate_configs, simulate_image_batch};
 use bsg_uarch::exec::{execute_image, ExecConfig};
 use bsg_uarch::machine::MachineConfig;
@@ -62,8 +62,10 @@ fn expected() -> &'static [Expected] {
         registry_workloads()
             .into_iter()
             .map(|w| {
-                let art = ArtifactStore::global()
-                    .compiled(&w.program, &CompileOptions::portable(OptLevel::O0));
+                let art = ArtifactStore::global().get(Compile::of(
+                    &w.program,
+                    CompileOptions::portable(OptLevel::O0),
+                ));
                 let lanes = configs
                     .iter()
                     .map(|c| {
@@ -139,8 +141,10 @@ fn verifier_accepts_images_executed_under_the_batched_observer() {
         .into_iter()
         .filter(|w| picks.contains(&w.name.as_str()))
     {
-        let art =
-            ArtifactStore::global().compiled(&w.program, &CompileOptions::portable(OptLevel::O0));
+        let art = ArtifactStore::global().get(Compile::of(
+            &w.program,
+            CompileOptions::portable(OptLevel::O0),
+        ));
         let before = verify_image(&art.image)
             .unwrap_or_else(|e| panic!("{}: image must verify before simulation: {e}", w.name));
         let _ = simulate_image_batch(&art.image, &configs);

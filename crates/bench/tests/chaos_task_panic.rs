@@ -10,7 +10,10 @@
 use bsg_bench::try_prepare_suite;
 use bsg_compiler::{CompileOptions, OptLevel};
 use bsg_profile::ProfileConfig;
-use bsg_runtime::{ArtifactStore, BsgError};
+use bsg_runtime::{
+    store::{Compile, Profile, Synthesis},
+    ArtifactStore, BsgError,
+};
 use bsg_workloads::{suite, InputSize};
 
 #[test]
@@ -58,14 +61,16 @@ fn an_injected_task_panic_and_a_full_disk_cost_exactly_one_suite_slot() {
             .find(|(name, _)| name == &w.name)
             .expect("every workload has a slot");
         let got = result.as_ref().expect("non-victim slots succeed");
-        let profile = hermetic.profile(
-            &w.program,
-            &CompileOptions::portable(OptLevel::O0),
+        let profile = hermetic.get(Profile(
+            Compile::of(&w.program, CompileOptions::portable(OptLevel::O0)),
             &w.name,
             &ProfileConfig::default(),
-        );
-        let synthesis =
-            hermetic.synthesis(&profile, &bsg_synth::SynthesisConfig::default(), target);
+        ));
+        let synthesis = hermetic.get(Synthesis(
+            &profile,
+            &bsg_synth::SynthesisConfig::default(),
+            target,
+        ));
         assert_eq!(
             got.synthesis.benchmark.c_source, synthesis.benchmark.c_source,
             "{}: synthetic C source diverged under chaos",

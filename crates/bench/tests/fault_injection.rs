@@ -18,7 +18,7 @@
 
 use bsg_compiler::{CompileOptions, OptLevel, TargetIsa};
 use bsg_runtime::disk::DEGRADE_AFTER_IO_FAILURES;
-use bsg_runtime::{ArtifactStore, DiskCache, FaultPlan};
+use bsg_runtime::{store::Compile, ArtifactStore, DiskCache, FaultPlan};
 use bsg_workloads::{suite, InputSize};
 use std::path::PathBuf;
 
@@ -40,7 +40,7 @@ fn a_full_disk_degrades_the_tier_and_changes_no_artifact_bytes() {
     let options = CompileOptions::new(OptLevel::O2, TargetIsa::X86);
 
     let hermetic = ArtifactStore::new();
-    let want = hermetic.compiled(&w.program, &options);
+    let want = hermetic.get(Compile::of(&w.program, options));
 
     let dir = chaos_dir("enospc");
     let plan = FaultPlan::parse("enospc").unwrap();
@@ -49,7 +49,10 @@ fn a_full_disk_degrades_the_tier_and_changes_no_artifact_bytes() {
     // row: the tier must go memory-only, and every build must still succeed.
     for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
         let art = store
-            .try_compiled(&w.program, &CompileOptions::new(level, TargetIsa::X86))
+            .try_get(Compile::of(
+                &w.program,
+                CompileOptions::new(level, TargetIsa::X86),
+            ))
             .expect("a full disk must never fail a build");
         if level == OptLevel::O2 {
             assert_eq!(
@@ -72,7 +75,7 @@ fn torn_renames_and_short_writes_are_rebuilt_bit_identically() {
     let options = CompileOptions::new(OptLevel::O1, TargetIsa::X86_64);
 
     let hermetic = ArtifactStore::new();
-    let want = hermetic.compiled(&w.program, &options);
+    let want = hermetic.get(Compile::of(&w.program, options));
 
     for spec in ["torn-rename", "short-write"] {
         let dir = chaos_dir(spec);
@@ -84,7 +87,7 @@ fn torn_renames_and_short_writes_are_rebuilt_bit_identically() {
             FaultPlan::parse(spec).unwrap(),
         ));
         let first = writer
-            .try_compiled(&w.program, &options)
+            .try_get(Compile::of(&w.program, options))
             .expect("a damaged cache write must not fail the build");
         assert_eq!(
             first.program, want.program,
@@ -95,7 +98,7 @@ fn torn_renames_and_short_writes_are_rebuilt_bit_identically() {
         // detected, discounted and rebuilt — bit-identical to hermetic.
         let reader = ArtifactStore::with_disk(DiskCache::with_cap(&dir, None));
         let rebuilt = reader
-            .try_compiled(&w.program, &options)
+            .try_get(Compile::of(&w.program, options))
             .expect("corrupt entries fall back to a rebuild");
         assert_eq!(
             rebuilt.program, want.program,
@@ -111,7 +114,7 @@ fn torn_renames_and_short_writes_are_rebuilt_bit_identically() {
 
         // Third read: the rebuild overwrote the entry, so now it serves.
         let reread = ArtifactStore::with_disk(DiskCache::with_cap(&dir, None));
-        let served = reread.try_compiled(&w.program, &options).unwrap();
+        let served = reread.try_get(Compile::of(&w.program, options)).unwrap();
         assert_eq!(served.program, want.program);
         assert_eq!(
             reread.disk().unwrap().stats().hits,
@@ -129,11 +132,11 @@ fn injected_load_errors_fall_back_to_rebuilds() {
     let options = CompileOptions::new(OptLevel::O0, TargetIsa::X86);
 
     let hermetic = ArtifactStore::new();
-    let want = hermetic.compiled(&w.program, &options);
+    let want = hermetic.get(Compile::of(&w.program, options));
 
     let dir = chaos_dir("eio");
     // Warm the directory cleanly...
-    ArtifactStore::with_disk(DiskCache::with_cap(&dir, None)).compiled(&w.program, &options);
+    ArtifactStore::with_disk(DiskCache::with_cap(&dir, None)).get(Compile::of(&w.program, options));
     // ...then read it through a device that errors every load.
     let store = ArtifactStore::with_disk(DiskCache::with_faults(
         &dir,
@@ -141,7 +144,7 @@ fn injected_load_errors_fall_back_to_rebuilds() {
         FaultPlan::parse("eio").unwrap(),
     ));
     let got = store
-        .try_compiled(&w.program, &options)
+        .try_get(Compile::of(&w.program, options))
         .expect("EIO on load must fall back to a rebuild");
     assert_eq!(got.program, want.program);
     let disk = store.disk().unwrap().stats();

@@ -21,7 +21,10 @@ use bsg_bench::{
     SYNTH_TARGET_INSTRUCTIONS,
 };
 use bsg_compiler::{compile, CompileOptions, OptLevel, TargetIsa};
-use bsg_runtime::{with_workers, ArtifactStore, BsgError, Runtime};
+use bsg_runtime::{
+    store::{Compile, Profile},
+    with_workers, ArtifactStore, BsgError, Runtime,
+};
 use bsg_workloads::{suite, InputSize, WorkloadRegistry};
 
 /// A small but non-trivial artifact set: three workloads with distinct cost
@@ -132,8 +135,8 @@ fn suite_programs_are_built_once_and_served_from_the_registry() {
     let w = &first[3]; // crc32/small
     let opts = CompileOptions::portable(OptLevel::O0);
     let cfg = bsg_profile::ProfileConfig::default();
-    let p1 = store.profile(&w.program, &opts, &w.name, &cfg);
-    let p2 = store.profile(&w.program, &opts, &w.name, &cfg);
+    let p1 = store.get(Profile(Compile::of(&w.program, opts), &w.name, &cfg));
+    let p2 = store.get(Profile(Compile::of(&w.program, opts), &w.name, &cfg));
     assert!(std::sync::Arc::ptr_eq(&p1, &p2));
     let stats = store.stats();
     assert_eq!(stats.profile_builds, 1, "{stats}");
@@ -261,7 +264,7 @@ fn a_mid_sweep_panic_leaves_every_other_figure_result_byte_identical() {
 fn store_artifacts_are_bit_identical_to_cold_builds_for_a_real_workload() {
     let w = suite(InputSize::Small).remove(3); // crc32/small
     let options = CompileOptions::new(OptLevel::O2, TargetIsa::X86_64);
-    let cached = ArtifactStore::global().compiled(&w.program, &options);
+    let cached = ArtifactStore::global().get(Compile::of(&w.program, options));
     let cold = compile(&w.program, &options).unwrap().program;
     assert_eq!(cached.program, cold, "store hit must equal a cold compile");
     assert_eq!(

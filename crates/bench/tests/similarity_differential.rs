@@ -5,7 +5,7 @@
 //! per-detector `moss_similarity`.
 
 use bsg_bench::{prepare_suite, SYNTH_TARGET_INSTRUCTIONS};
-use bsg_runtime::ArtifactStore;
+use bsg_runtime::{store::CText, ArtifactStore};
 use bsg_similarity::{moss_similarity, token_hashes, SimilarityReport};
 use bsg_workloads::InputSize;
 
@@ -17,7 +17,7 @@ fn compare_matches_the_full_scan_on_every_registry_pair() {
     let artifacts = prepare_suite(InputSize::Small, SYNTH_TARGET_INSTRUCTIONS);
     assert_eq!(artifacts.len(), 18, "the small-input half of the registry");
     for a in &artifacts {
-        let original = ArtifactStore::global().c_text(&a.workload.program);
+        let original = ArtifactStore::global().get(CText(&a.workload.program));
         let clone = &a.synthesis.benchmark.c_source;
         let report = SimilarityReport::compare(&original, clone);
         let scanned = oracle::scan_coverage(&token_hashes(&original), &token_hashes(clone), 9);

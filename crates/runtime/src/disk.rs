@@ -111,6 +111,15 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// bucket (only the aggregate counters).
 pub const KINDS: [&str; 4] = ["compiled", "profile", "synthesis", "c-text"];
 
+/// One artifact kind: an index into [`KINDS`] and [`DiskStats::per_kind`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Kind {
+    Compiled,
+    Profile,
+    Synthesis,
+    CText,
+}
+
 fn kind_index(kind: &str) -> Option<usize> {
     KINDS.iter().position(|k| *k == kind)
 }
@@ -354,11 +363,6 @@ impl DiskCache {
                  the rest of the process"
             );
         }
-    }
-
-    /// The configured size cap in bytes, if eviction is enabled.
-    pub fn cap_bytes(&self) -> Option<u64> {
-        self.cap_bytes
     }
 
     /// Size-capped LRU eviction: while the directory's `.bsg` entries total

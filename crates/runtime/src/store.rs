@@ -2,26 +2,26 @@
 //!
 //! Every figure of the evaluation sweeps the same small set of artifacts —
 //! the workload compiled at some (level, ISA), its predecoded [`ExecImage`],
-//! its emitted C text, its `-O0` [`StatisticalProfile`], its synthetic clone —
-//! and before this store existed each figure rebuilt them from scratch.  The
-//! store memoizes each artifact behind an `Arc`, keyed by a **structural
+//! its emitted C text, its `-O0` [`StatisticalProfile`], its synthetic clone.
+//! The store memoizes each artifact behind an `Arc`, keyed by a **structural
 //! hash of the source program's content** plus the build options, so each
 //! artifact is built **exactly once per process** no matter how many figures
-//! (or scheduler workers, concurrently) request it.
+//! (or scheduler workers, concurrently) request it.  Every kind takes one
+//! lookup path, [`ArtifactStore::try_get`]; a [`Query`] value states only
+//! what differs between kinds.
 //!
 //! Content addressing: the key starts from [`SourceId::of`], a 128-bit
 //! FNV-1a hash of the value's **canonical byte encoding**
 //! ([`bsg_ir::canon::Canon`]: discriminant-tagged, length-prefixed,
 //! `f64::to_bits` floats).  Two workloads with identical structure share
 //! artifacts; any structural change — including ones invisible to a `Debug`
-//! rendering, like differing NaN payloads — produces a new key.  (An earlier
-//! revision hashed the `Debug` rendering, which is not injective; see the
-//! regression test `debug_colliding_sources_get_distinct_ids`.)  The hash is
+//! rendering, like differing NaN payloads — produces a new key (see the
+//! regression test `debug_colliding_sources_get_distinct_ids`).  The hash is
 //! the *address*; at-most-once construction under concurrency is guaranteed
 //! by a per-key **slot state machine** (`idle → building → done | failed`):
 //! losers of the map race wait on the winner's build instead of building
-//! twice, and — since PR 6 — a build that fails or panics **releases** its
-//! waiters with an error instead of wedging them forever.
+//! twice, and a build that fails or panics **releases** its waiters with an
+//! error instead of wedging them forever.
 //!
 //! # Fault recovery
 //!
@@ -34,16 +34,14 @@
 //! OOM-killed helper) deserve another shot.  Once the attempt budget is
 //! exhausted the error is memoized (`failed` is terminal) and served to
 //! every later request immediately: one poisoned key costs its own sweeps
-//! an `Err`, never a hang, and never affects other keys.  (The pre-PR-6
-//! implementation used a per-key `OnceLock`, which a panicking builder left
-//! unset forever — deadlocking every waiter.)
+//! an `Err`, never a hang, and never affects other keys.
 
-use crate::disk::{DiskCache, DiskStats, KindStats, KINDS};
+use crate::disk::{DiskCache, DiskStats, Kind, KindStats, KINDS};
 use crate::error::{lock_unpoisoned, panic_message, wait_unpoisoned, BsgError, BsgResult};
 use bsg_compiler::{compile, CompileOptions};
 use bsg_ir::canon::{Canon, CanonWrite};
 use bsg_ir::cemit;
-use bsg_ir::codec::{from_canon_bytes, to_canon_bytes};
+use bsg_ir::codec::{from_canon_bytes, to_canon_bytes, Decanon};
 use bsg_ir::hll::HllProgram;
 use bsg_ir::Program;
 use bsg_profile::{profile_image, ProfileConfig, StatisticalProfile};
@@ -164,26 +162,31 @@ impl<V> Default for Slot<V> {
     }
 }
 
-/// One memoization table: key -> slot state machine.
+/// One kind's memoization table: memory key -> slot state machine.
+/// Opaque: only the store creates tables; a [`Query`] names its kind's.
 ///
 /// The outer mutex only guards the map shape (held for a lookup/insert,
-/// never during a build); the per-entry [`Slot`] serializes concurrent
-/// builders of the *same* key while letting different keys build in
-/// parallel, and releases waiters on failure instead of deadlocking them.
-struct Table<K, V> {
+/// never during a build); the per-entry slot serializes concurrent builders
+/// of the *same* key while letting different keys build in parallel, and
+/// releases waiters on failure instead of deadlocking them.
+pub struct Table<K, V> {
+    kind: Kind,
     map: Mutex<HashMap<K, Arc<Slot<V>>>>,
+}
+
+/// One kind's request counters (see [`StoreStats`]).
+#[derive(Default)]
+struct Counters {
     builds: AtomicU64,
     hits: AtomicU64,
     failures: AtomicU64,
 }
 
-impl<K: Eq + Hash + Clone, V> Table<K, V> {
-    fn new() -> Self {
+impl<K: Eq + Hash, V> Table<K, V> {
+    fn new(kind: Kind) -> Self {
         Table {
+            kind,
             map: Mutex::new(HashMap::new()),
-            builds: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
         }
     }
 
@@ -194,7 +197,7 @@ impl<K: Eq + Hash + Clone, V> Table<K, V> {
     /// that finds the value already memoized counts as a (memory) hit.
     fn get_or_try_init(
         &self,
-        kind: &'static str,
+        counters: &Counters,
         file_key: SourceId,
         key: K,
         init: impl FnOnce() -> Result<(V, bool), String>,
@@ -204,7 +207,7 @@ impl<K: Eq + Hash + Clone, V> Table<K, V> {
         loop {
             match &*guard {
                 SlotState::Done(value) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    counters.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(value.clone());
                 }
                 SlotState::Failed(error) => return Err(error.clone()),
@@ -238,7 +241,7 @@ impl<K: Eq + Hash + Clone, V> Table<K, V> {
                     let message = match outcome {
                         Ok(Ok((value, built))) => {
                             if built {
-                                self.builds.fetch_add(1, Ordering::Relaxed);
+                                counters.builds.fetch_add(1, Ordering::Relaxed);
                             }
                             let value = Arc::new(value);
                             *guard = SlotState::Done(value.clone());
@@ -250,9 +253,9 @@ impl<K: Eq + Hash + Clone, V> Table<K, V> {
                             format!("builder panicked: {}", panic_message(payload.as_ref()))
                         }
                     };
-                    self.failures.fetch_add(1, Ordering::Relaxed);
+                    counters.failures.fetch_add(1, Ordering::Relaxed);
                     let error = BsgError::BuildFailed {
-                        kind,
+                        kind: KINDS[self.kind as usize],
                         key: file_key.to_string(),
                         attempts: attempts + 1,
                         message,
@@ -275,43 +278,6 @@ impl<K: Eq + Hash + Clone, V> Table<K, V> {
     }
 }
 
-/// Two-tier lookup: memory table first, then the disk cache, then a cold
-/// build (which is written back to disk).  `file_key` must be a content hash
-/// of the table's full in-memory key, so the two tiers agree on identity.
-/// A disk payload that fails to decode is corruption, not an error: it is
-/// logged once, discounted, rebuilt and overwritten.
-#[allow(clippy::too_many_arguments)] // one argument per tier concern; a config struct would obscure the call sites
-fn two_tier<K: Eq + Hash + Clone, V>(
-    table: &Table<K, V>,
-    disk: Option<&DiskCache>,
-    kind: &'static str,
-    file_key: SourceId,
-    key: K,
-    decode: impl FnOnce(&[u8]) -> Option<V>,
-    encode: impl FnOnce(&V) -> Vec<u8>,
-    build: impl FnOnce() -> Result<V, String>,
-) -> BsgResult<Arc<V>> {
-    table.get_or_try_init(kind, file_key, key, || {
-        let Some(disk) = disk else {
-            return Ok((build()?, true));
-        };
-        if let Some(bytes) = disk.load(kind, file_key.as_u128()) {
-            match decode(&bytes) {
-                Some(value) => return Ok((value, false)),
-                None => disk.unhit_corrupt(kind, file_key.as_u128()),
-            }
-        }
-        let value = build()?;
-        // Never persist an artifact whose build was preempted mid-way — the
-        // memory tier discards it too (see `get_or_try_init`), and a
-        // truncated artifact on disk would poison every later process.
-        if build_was_preempted().is_none() {
-            disk.store(kind, file_key.as_u128(), &encode(&value));
-        }
-        Ok((value, true))
-    })
-}
-
 /// Whether the current thread's ambient [`bsg_uarch::cancel::CancelToken`]
 /// has tripped, rendered as the error the preempted caller should receive.
 fn build_was_preempted() -> Option<BsgError> {
@@ -326,25 +292,195 @@ fn build_was_preempted() -> Option<BsgError> {
     }
 }
 
-/// Per-table hit/build counters (a build is a cold miss; every other request
-/// is a hit on the memoized artifact).
+/// What differs between the store's artifact kinds; [`ArtifactStore::try_get`]
+/// runs everything they share.  Implemented by [`Compile`], [`Profile`],
+/// [`CText`] and [`Synthesis`].
+pub trait Query: Copy {
+    /// The structural memory key: the full build inputs, never only the
+    /// 128-bit file hash.
+    type Key: Eq + Hash + Canon;
+    /// The memoized artifact.
+    type Value: Payload<Self>;
+
+    /// This kind's table in `store`.
+    fn table(store: &ArtifactStore) -> &Table<Self::Key, Self::Value>;
+
+    /// The memory key of this request.
+    fn key(&self) -> Self::Key;
+
+    /// The disk entry's file key: a content hash of the memory key.
+    fn file_key(key: &Self::Key) -> SourceId {
+        SourceId::of(key)
+    }
+
+    /// Builds the artifact cold, looking up what it depends on in `store`.
+    fn build(self, store: &ArtifactStore) -> Result<Self::Value, String>;
+}
+
+/// How the artifact a query `Q` names is persisted on the disk tier.
+pub trait Payload<Q>: Sized {
+    /// The disk payload of `self`.
+    fn encode(&self) -> Vec<u8>;
+    /// The artifact `query` persisted as `bytes`; `None` if they do not decode.
+    fn decode(query: Q, bytes: &[u8]) -> Option<Self>;
+}
+
+/// Every artifact but a compiled one persists its canonical bytes.
+impl<Q, T: Canon + Decanon> Payload<Q> for T {
+    fn encode(&self) -> Vec<u8> {
+        to_canon_bytes(self)
+    }
+
+    fn decode(_: Q, bytes: &[u8]) -> Option<T> {
+        from_canon_bytes(bytes)
+    }
+}
+
+/// Only the program is persisted: re-deriving the image on load is far
+/// cheaper than the optimizing compile it replaces.
+impl Payload<Compile<'_>> for CompiledArtifact {
+    fn encode(&self) -> Vec<u8> {
+        to_canon_bytes(&self.program)
+    }
+
+    fn decode(query: Compile<'_>, bytes: &[u8]) -> Option<Self> {
+        Some(query.artifact(from_canon_bytes(bytes)?))
+    }
+}
+
+/// `Compile(source, hll, options)`: `hll` compiled under `options`, plus its
+/// predecoded image.  `source` must be `SourceId::of(hll)`; [`Compile::of`]
+/// hashes it, and sweeps that request one source many times pass it in.
+#[derive(Debug, Clone, Copy)]
+pub struct Compile<'a>(pub SourceId, pub &'a HllProgram, pub CompileOptions);
+
+impl<'a> Compile<'a> {
+    /// Compile `hll` under `options`.
+    pub fn of(hll: &'a HllProgram, options: CompileOptions) -> Self {
+        Compile(SourceId::of(hll), hll, options)
+    }
+
+    fn artifact(self, program: Program) -> CompiledArtifact {
+        let image = ExecImage::new(&program);
+        CompiledArtifact {
+            source: self.0,
+            options: self.2,
+            program,
+            image,
+        }
+    }
+}
+
+impl Query for Compile<'_> {
+    type Key = (SourceId, CompileOptions);
+    type Value = CompiledArtifact;
+
+    fn table(store: &ArtifactStore) -> &Table<Self::Key, CompiledArtifact> {
+        &store.compiled
+    }
+
+    fn key(&self) -> Self::Key {
+        (self.0, self.2)
+    }
+
+    fn build(self, _: &ArtifactStore) -> Result<CompiledArtifact, String> {
+        let compiled = compile(self.1, &self.2).map_err(|e| format!("compile failed: {e}"))?;
+        Ok(self.artifact(compiled.program))
+    }
+}
+
+/// `Profile(compile, name, config)`: the statistical profile of workload
+/// `name`, built from the `compile` artifact (looked up in the store).
+#[derive(Debug, Clone, Copy)]
+pub struct Profile<'a>(pub Compile<'a>, pub &'a str, pub &'a ProfileConfig);
+
+impl Query for Profile<'_> {
+    type Key = (SourceId, CompileOptions, String, SourceId);
+    type Value = StatisticalProfile;
+
+    fn table(store: &ArtifactStore) -> &Table<Self::Key, StatisticalProfile> {
+        &store.profiles
+    }
+
+    fn key(&self) -> Self::Key {
+        let Profile(Compile(source, _, options), name, config) = *self;
+        (source, options, name.to_string(), SourceId::of(config))
+    }
+
+    fn build(self, store: &ArtifactStore) -> Result<StatisticalProfile, String> {
+        let Profile(compile, name, config) = self;
+        let a = store.try_get(compile).map_err(|e| e.to_string())?;
+        Ok(profile_image(&a.program, &a.image, name, config))
+    }
+}
+
+/// `CText(hll)`: the emitted C text of `hll`.
+#[derive(Debug, Clone, Copy)]
+pub struct CText<'a>(pub &'a HllProgram);
+
+impl Query for CText<'_> {
+    type Key = SourceId;
+    type Value = String;
+
+    fn table(store: &ArtifactStore) -> &Table<SourceId, String> {
+        &store.c_texts
+    }
+
+    fn key(&self) -> SourceId {
+        SourceId::of(self.0)
+    }
+
+    /// The source's own content address.
+    fn file_key(source: &SourceId) -> SourceId {
+        *source
+    }
+
+    fn build(self, _: &ArtifactStore) -> Result<String, String> {
+        Ok(cemit::emit_c(self.0))
+    }
+}
+
+/// `Synthesis(profile, config, target_instructions)`: the target-driven
+/// synthesis of a clone of `profile`.
+#[derive(Debug, Clone, Copy)]
+pub struct Synthesis<'a>(pub &'a StatisticalProfile, pub &'a SynthesisConfig, pub u64);
+
+impl Query for Synthesis<'_> {
+    type Key = (SourceId, SourceId, u64);
+    type Value = TargetedSynthesis;
+
+    fn table(store: &ArtifactStore) -> &Table<Self::Key, TargetedSynthesis> {
+        &store.syntheses
+    }
+
+    fn key(&self) -> Self::Key {
+        (SourceId::of(self.0), SourceId::of(self.1), self.2)
+    }
+
+    fn build(self, _: &ArtifactStore) -> Result<TargetedSynthesis, String> {
+        Ok(synthesize_with_target(self.0, self.1, self.2))
+    }
+}
+
+/// Per-kind counters.  Each request is one cold build, one memory hit, or
+/// one disk hit (counted per kind in [`DiskStats::per_kind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// Cold builds of compiled programs (+ images).
     pub compiled_builds: u64,
-    /// Cache hits on compiled programs.
+    /// Memory hits on compiled programs.
     pub compiled_hits: u64,
     /// Cold builds of statistical profiles.
     pub profile_builds: u64,
-    /// Cache hits on statistical profiles.
+    /// Memory hits on statistical profiles.
     pub profile_hits: u64,
     /// Cold builds of emitted C text.
     pub c_text_builds: u64,
-    /// Cache hits on emitted C text.
+    /// Memory hits on emitted C text.
     pub c_text_hits: u64,
     /// Cold target-driven synthesis runs.
     pub synthesis_builds: u64,
-    /// Cache hits on synthesis results.
+    /// Memory hits on synthesis results.
     pub synthesis_hits: u64,
     /// Failed build attempts across all tables (each retry counts once).
     pub build_failures: u64,
@@ -354,18 +490,18 @@ pub struct StoreStats {
 
 impl fmt::Display for StoreStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (kind, builds, hits) in [
+            (Kind::Compiled, self.compiled_builds, self.compiled_hits),
+            (Kind::Profile, self.profile_builds, self.profile_hits),
+            (Kind::CText, self.c_text_builds, self.c_text_hits),
+            (Kind::Synthesis, self.synthesis_builds, self.synthesis_hits),
+        ] {
+            let requests = builds + hits + self.disk.per_kind[kind as usize].hits;
+            write!(f, "{} {builds}/{requests} ", KINDS[kind as usize])?;
+        }
         write!(
             f,
-            "compiled {}/{} profile {}/{} c-text {}/{} synthesis {}/{} (builds/requests); \
-             failed {}; disk hits {} writes {} corrupt {} evicted {} io-errors {}",
-            self.compiled_builds,
-            self.compiled_builds + self.compiled_hits,
-            self.profile_builds,
-            self.profile_builds + self.profile_hits,
-            self.c_text_builds,
-            self.c_text_builds + self.c_text_hits,
-            self.synthesis_builds,
-            self.synthesis_builds + self.synthesis_hits,
+            "(builds/requests); failed {}; disk hits {} writes {} corrupt {} evicted {} io-errors {}",
             self.build_failures,
             self.disk.hits,
             self.disk.writes,
@@ -412,6 +548,8 @@ pub struct ArtifactStore {
     profiles: Table<(SourceId, CompileOptions, String, SourceId), StatisticalProfile>,
     c_texts: Table<SourceId, String>,
     syntheses: Table<(SourceId, SourceId, u64), TargetedSynthesis>,
+    /// Per-kind counters, ordered as [`KINDS`].
+    counters: [Counters; 4],
     disk: Option<DiskCache>,
 }
 
@@ -420,10 +558,11 @@ impl ArtifactStore {
     /// that need hermetic behaviour use this).
     pub fn new() -> Self {
         ArtifactStore {
-            compiled: Table::new(),
-            profiles: Table::new(),
-            c_texts: Table::new(),
-            syntheses: Table::new(),
+            compiled: Table::new(Kind::Compiled),
+            profiles: Table::new(Kind::Profile),
+            c_texts: Table::new(Kind::CText),
+            syntheses: Table::new(Kind::Synthesis),
+            counters: Default::default(),
             disk: None,
         }
     }
@@ -452,204 +591,58 @@ impl ArtifactStore {
         self.disk.as_ref()
     }
 
-    /// The compiled program + predecoded image of `hll` under `options`,
-    /// compiling at most once per (source content, options) per process.
-    ///
-    /// Panics if the build fails, matching the harness convention for suite
-    /// workloads (which always compile); use
-    /// [`try_compiled`](Self::try_compiled) for per-task fault isolation.
-    pub fn compiled(&self, hll: &HllProgram, options: &CompileOptions) -> Arc<CompiledArtifact> {
-        self.compiled_keyed(SourceId::of(hll), hll, options)
+    /// The artifact `query` names, built at most once per memory key per
+    /// process: memory table, then disk tier, then a cold build written back
+    /// to disk.  An undecodable disk payload is corruption: logged once,
+    /// discounted, rebuilt and overwritten.  A failing or panicking build
+    /// yields `Err` (memoized per key after bounded retries).
+    pub fn try_get<Q: Query>(&self, query: Q) -> BsgResult<Arc<Q::Value>> {
+        let table = Q::table(self);
+        let kind = KINDS[table.kind as usize];
+        let key = query.key();
+        let file_key = Q::file_key(&key);
+        let counters = &self.counters[table.kind as usize];
+        table.get_or_try_init(counters, file_key, key, || {
+            let Some(disk) = &self.disk else {
+                return Ok((query.build(self)?, true));
+            };
+            if let Some(bytes) = disk.load(kind, file_key.as_u128()) {
+                match Q::Value::decode(query, &bytes) {
+                    Some(value) => return Ok((value, false)),
+                    None => disk.unhit_corrupt(kind, file_key.as_u128()),
+                }
+            }
+            let value = query.build(self)?;
+            // Never persist an artifact whose build was preempted mid-way —
+            // the memory tier discards it too (see `get_or_try_init`), and a
+            // truncated artifact on disk would poison every later process.
+            if build_was_preempted().is_none() {
+                disk.store(kind, file_key.as_u128(), &value.encode());
+            }
+            Ok((value, true))
+        })
     }
 
-    /// [`compiled`](Self::compiled) with a caller-supplied content address,
-    /// for sweeps that request the same source many times and want to hash
-    /// it once.  `source` must be `SourceId::of(hll)`.
-    pub fn compiled_keyed(
-        &self,
-        source: SourceId,
-        hll: &HllProgram,
-        options: &CompileOptions,
-    ) -> Arc<CompiledArtifact> {
-        self.try_compiled_keyed(source, hll, options)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-isolating [`compiled`](Self::compiled): a failing or panicking
-    /// build yields `Err` (memoized per key after bounded retries) instead
-    /// of aborting the process or hanging concurrent waiters.
-    pub fn try_compiled(
-        &self,
-        hll: &HllProgram,
-        options: &CompileOptions,
-    ) -> BsgResult<Arc<CompiledArtifact>> {
-        self.try_compiled_keyed(SourceId::of(hll), hll, options)
-    }
-
-    /// [`try_compiled`](Self::try_compiled) with a caller-supplied content
-    /// address (`source` must be `SourceId::of(hll)`).
-    pub fn try_compiled_keyed(
-        &self,
-        source: SourceId,
-        hll: &HllProgram,
-        options: &CompileOptions,
-    ) -> BsgResult<Arc<CompiledArtifact>> {
-        two_tier(
-            &self.compiled,
-            self.disk.as_ref(),
-            "compiled",
-            SourceId::of(&(source, *options)),
-            (source, *options),
-            // The disk payload is the lowered program; the predecoded image
-            // is derived deterministically on load (decode + predecode is
-            // far cheaper than the optimizing compile it replaces).
-            |bytes| {
-                let program: Program = from_canon_bytes(bytes)?;
-                let image = ExecImage::new(&program);
-                Some(CompiledArtifact {
-                    source,
-                    options: *options,
-                    program,
-                    image,
-                })
-            },
-            |artifact| to_canon_bytes(&artifact.program),
-            || {
-                let program = compile(hll, options)
-                    .map_err(|e| format!("compile failed: {e}"))?
-                    .program;
-                let image = ExecImage::new(&program);
-                Ok(CompiledArtifact {
-                    source,
-                    options: *options,
-                    program,
-                    image,
-                })
-            },
-        )
-    }
-
-    /// The statistical profile of `hll` compiled under `options`, reusing the
-    /// memoized compiled artifact (and its image) for the profiling run.
-    /// A warm disk tier serves the profile without compiling at all.
-    ///
-    /// Panics if the build fails; see [`try_profile`](Self::try_profile).
-    pub fn profile(
-        &self,
-        hll: &HllProgram,
-        options: &CompileOptions,
-        name: &str,
-        config: &ProfileConfig,
-    ) -> Arc<StatisticalProfile> {
-        self.try_profile(hll, options, name, config)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-isolating [`profile`](Self::profile).
-    pub fn try_profile(
-        &self,
-        hll: &HllProgram,
-        options: &CompileOptions,
-        name: &str,
-        config: &ProfileConfig,
-    ) -> BsgResult<Arc<StatisticalProfile>> {
-        let source = SourceId::of(hll);
-        let key = (source, *options, name.to_string(), SourceId::of(config));
-        two_tier(
-            &self.profiles,
-            self.disk.as_ref(),
-            "profile",
-            SourceId::of(&((source, *options), (name, SourceId::of(config)))),
-            key,
-            from_canon_bytes::<StatisticalProfile>,
-            to_canon_bytes,
-            || {
-                let artifact = self
-                    .try_compiled_keyed(source, hll, options)
-                    .map_err(|e| e.to_string())?;
-                Ok(profile_image(
-                    &artifact.program,
-                    &artifact.image,
-                    name,
-                    config,
-                ))
-            },
-        )
-    }
-
-    /// The emitted C text of `hll`.  Panics if the build fails; see
-    /// [`try_c_text`](Self::try_c_text).
-    pub fn c_text(&self, hll: &HllProgram) -> Arc<String> {
-        self.try_c_text(hll).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-isolating [`c_text`](Self::c_text).
-    pub fn try_c_text(&self, hll: &HllProgram) -> BsgResult<Arc<String>> {
-        let source = SourceId::of(hll);
-        two_tier(
-            &self.c_texts,
-            self.disk.as_ref(),
-            "c-text",
-            source,
-            source,
-            from_canon_bytes::<String>,
-            to_canon_bytes,
-            || Ok(cemit::emit_c(hll)),
-        )
-    }
-
-    /// The target-driven synthesis for `profile`, memoized on the profile's
-    /// content, the synthesis configuration and the instruction target.
-    /// Panics if the build fails; see [`try_synthesis`](Self::try_synthesis).
-    pub fn synthesis(
-        &self,
-        profile: &StatisticalProfile,
-        base: &SynthesisConfig,
-        target_instructions: u64,
-    ) -> Arc<TargetedSynthesis> {
-        self.try_synthesis(profile, base, target_instructions)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-isolating [`synthesis`](Self::synthesis).
-    pub fn try_synthesis(
-        &self,
-        profile: &StatisticalProfile,
-        base: &SynthesisConfig,
-        target_instructions: u64,
-    ) -> BsgResult<Arc<TargetedSynthesis>> {
-        let key = (
-            SourceId::of(profile),
-            SourceId::of(base),
-            target_instructions,
-        );
-        two_tier(
-            &self.syntheses,
-            self.disk.as_ref(),
-            "synthesis",
-            SourceId::of(&key),
-            key,
-            from_canon_bytes::<TargetedSynthesis>,
-            to_canon_bytes,
-            || Ok(synthesize_with_target(profile, base, target_instructions)),
-        )
+    /// [`try_get`](Self::try_get) for callers whose builds always succeed
+    /// (the harness's suite workloads always compile); panics otherwise.
+    pub fn get<Q: Query>(&self, query: Q) -> Arc<Q::Value> {
+        self.try_get(query).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A snapshot of the hit/build counters.
     pub fn stats(&self) -> StoreStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let [compiled, profile, synthesis, c_text] = &self.counters;
         StoreStats {
-            compiled_builds: self.compiled.builds.load(Ordering::Relaxed),
-            compiled_hits: self.compiled.hits.load(Ordering::Relaxed),
-            profile_builds: self.profiles.builds.load(Ordering::Relaxed),
-            profile_hits: self.profiles.hits.load(Ordering::Relaxed),
-            c_text_builds: self.c_texts.builds.load(Ordering::Relaxed),
-            c_text_hits: self.c_texts.hits.load(Ordering::Relaxed),
-            synthesis_builds: self.syntheses.builds.load(Ordering::Relaxed),
-            synthesis_hits: self.syntheses.hits.load(Ordering::Relaxed),
-            build_failures: self.compiled.failures.load(Ordering::Relaxed)
-                + self.profiles.failures.load(Ordering::Relaxed)
-                + self.c_texts.failures.load(Ordering::Relaxed)
-                + self.syntheses.failures.load(Ordering::Relaxed),
+            compiled_builds: load(&compiled.builds),
+            compiled_hits: load(&compiled.hits),
+            profile_builds: load(&profile.builds),
+            profile_hits: load(&profile.hits),
+            c_text_builds: load(&c_text.builds),
+            c_text_hits: load(&c_text.hits),
+            synthesis_builds: load(&synthesis.builds),
+            synthesis_hits: load(&synthesis.hits),
+            build_failures: self.counters.iter().map(|c| load(&c.failures)).sum(),
             disk: self.disk.as_ref().map(DiskCache::stats).unwrap_or_default(),
         }
     }
@@ -730,8 +723,8 @@ mod tests {
         let store = ArtifactStore::new();
         let hll = tiny_program(10);
         let opts = CompileOptions::new(OptLevel::O1, TargetIsa::X86);
-        let first = store.compiled(&hll, &opts);
-        let second = store.compiled(&hll, &opts);
+        let first = store.get(Compile::of(&hll, opts));
+        let second = store.get(Compile::of(&hll, opts));
         assert!(Arc::ptr_eq(&first, &second), "one shared artifact");
         let stats = store.stats();
         assert_eq!(stats.compiled_builds, 1);
@@ -742,8 +735,14 @@ mod tests {
     fn distinct_options_build_distinct_artifacts() {
         let store = ArtifactStore::new();
         let hll = tiny_program(10);
-        let o0 = store.compiled(&hll, &CompileOptions::new(OptLevel::O0, TargetIsa::X86));
-        let o2 = store.compiled(&hll, &CompileOptions::new(OptLevel::O2, TargetIsa::X86));
+        let o0 = store.get(Compile::of(
+            &hll,
+            CompileOptions::new(OptLevel::O0, TargetIsa::X86),
+        ));
+        let o2 = store.get(Compile::of(
+            &hll,
+            CompileOptions::new(OptLevel::O2, TargetIsa::X86),
+        ));
         assert!(!Arc::ptr_eq(&o0, &o2));
         assert_eq!(store.stats().compiled_builds, 2);
     }
@@ -755,7 +754,7 @@ mod tests {
         let opts = CompileOptions::portable(OptLevel::O0);
         std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|| store.compiled(&hll, &opts));
+                s.spawn(|| store.get(Compile::of(&hll, opts)));
             }
         });
         let stats = store.stats();
@@ -779,7 +778,7 @@ mod tests {
             for _ in 0..HERD {
                 s.spawn(|| {
                     barrier.wait();
-                    store.compiled(&hll, &opts)
+                    store.get(Compile::of(&hll, opts))
                 });
             }
         });
@@ -798,7 +797,9 @@ mod tests {
     fn concurrent_retries_never_double_count_build_failures() {
         const HERD: usize = 16;
         const FAILS: u64 = (MAX_BUILD_ATTEMPTS - 1) as u64;
-        let table: std::sync::Arc<Table<u32, u32>> = std::sync::Arc::new(Table::new());
+        let table: std::sync::Arc<Table<u32, u32>> =
+            std::sync::Arc::new(Table::new(Kind::Compiled));
+        let counters = &Counters::default();
         let key_id = SourceId::of(&11u64);
         let calls = std::sync::Arc::new(AtomicU64::new(0));
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(HERD));
@@ -811,7 +812,7 @@ mod tests {
                     s.spawn(move || {
                         barrier.wait();
                         table
-                            .get_or_try_init("compiled", key_id, 11, || {
+                            .get_or_try_init(counters, key_id, 11, || {
                                 if calls.fetch_add(1, Ordering::Relaxed) < FAILS {
                                     Err("transient failure".to_string())
                                 } else {
@@ -824,8 +825,8 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(table.failures.load(Ordering::Relaxed), FAILS);
-        assert_eq!(table.builds.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.failures.load(Ordering::Relaxed), FAILS);
+        assert_eq!(counters.builds.load(Ordering::Relaxed), 1);
         assert_eq!(
             calls.load(Ordering::Relaxed),
             FAILS + 1,
@@ -840,7 +841,7 @@ mod tests {
         assert_eq!(errs + oks, HERD);
         assert!(outcomes.iter().all(|r| !matches!(r, Ok(v) if *v != 42)));
         // Everyone else either built the value (1) or hit the memo.
-        let hits = table.hits.load(Ordering::Relaxed);
+        let hits = counters.hits.load(Ordering::Relaxed);
         assert_eq!(
             hits + FAILS + 1,
             HERD as u64,
@@ -874,20 +875,26 @@ mod tests {
         let scfg = SynthesisConfig::default();
 
         let cold_store = ArtifactStore::with_disk(DiskCache::at(&root));
-        let cold_compiled = cold_store.compiled(&hll, &opts);
-        let cold_profile =
-            cold_store.profile(&hll, &CompileOptions::portable(OptLevel::O0), "t", &pcfg);
-        let cold_synth = cold_store.synthesis(&cold_profile, &scfg, 2_000);
-        let cold_c = cold_store.c_text(&hll);
+        let cold_compiled = cold_store.get(Compile::of(&hll, opts));
+        let cold_profile = cold_store.get(Profile(
+            Compile::of(&hll, CompileOptions::portable(OptLevel::O0)),
+            "t",
+            &pcfg,
+        ));
+        let cold_synth = cold_store.get(Synthesis(&cold_profile, &scfg, 2_000));
+        let cold_c = cold_store.get(CText(&hll));
         assert_eq!(cold_store.stats().disk.hits, 0, "first process is cold");
         assert!(cold_store.stats().disk.writes >= 4);
 
         let warm_store = ArtifactStore::with_disk(DiskCache::at(&root));
-        let warm_compiled = warm_store.compiled(&hll, &opts);
-        let warm_profile =
-            warm_store.profile(&hll, &CompileOptions::portable(OptLevel::O0), "t", &pcfg);
-        let warm_synth = warm_store.synthesis(&warm_profile, &scfg, 2_000);
-        let warm_c = warm_store.c_text(&hll);
+        let warm_compiled = warm_store.get(Compile::of(&hll, opts));
+        let warm_profile = warm_store.get(Profile(
+            Compile::of(&hll, CompileOptions::portable(OptLevel::O0)),
+            "t",
+            &pcfg,
+        ));
+        let warm_synth = warm_store.get(Synthesis(&warm_profile, &scfg, 2_000));
+        let warm_c = warm_store.get(CText(&hll));
 
         assert_eq!(warm_compiled.program, cold_compiled.program);
         assert_eq!(
@@ -913,6 +920,11 @@ mod tests {
             (0, 0, 0, 0),
             "warm run rebuilt nothing: {stats}"
         );
+        // A disk-served request is a request: one profile, served by disk.
+        assert!(
+            stats.to_string().contains("profile 0/1 "),
+            "stats line counts disk-served requests: {stats}"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -925,7 +937,7 @@ mod tests {
         let opts = CompileOptions::new(OptLevel::O1, TargetIsa::X86);
 
         let first = ArtifactStore::with_disk(DiskCache::at(&root));
-        let reference = first.compiled(&hll, &opts);
+        let reference = first.get(Compile::of(&hll, opts));
 
         // Truncate every cached entry mid-payload (keeping valid headers
         // would only exercise the checksum; cutting inside the header
@@ -940,7 +952,7 @@ mod tests {
         assert!(damaged > 0, "the cold run must have populated the cache");
 
         let second = ArtifactStore::with_disk(DiskCache::at(&root));
-        let rebuilt = second.compiled(&hll, &opts);
+        let rebuilt = second.get(Compile::of(&hll, opts));
         assert_eq!(rebuilt.program, reference.program, "rebuild is identical");
         let stats = second.stats();
         assert_eq!(stats.disk.corrupt, 1, "corruption detected: {stats}");
@@ -948,34 +960,70 @@ mod tests {
 
         // The rebuild overwrote the damaged entry: a third store hits disk.
         let third = ArtifactStore::with_disk(DiskCache::at(&root));
-        let repaired = third.compiled(&hll, &opts);
+        let repaired = third.get(Compile::of(&hll, opts));
         assert_eq!(repaired.program, reference.program);
         assert_eq!(third.stats().disk.hits, 1, "cache repaired in place");
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// Damages the exact disk entry `query` probes, twice: first with
+    /// well-formed garbage (the checksum holds, the decode fails), then by
+    /// truncating the repaired entry.  Each time a store over the directory
+    /// must discard the entry as corruption, rebuild the artifact
+    /// bit-identically and overwrite the entry, so the next store is served
+    /// from disk.
+    fn check_damaged_payloads_rebuild<Q: Query>(query: Q, builds: fn(&StoreStats) -> u64) {
+        let hermetic = ArtifactStore::new();
+        let reference = hermetic.get(query).encode();
+        let kind = Q::table(&hermetic).kind;
+        let root = temp_disk("damaged").root().to_path_buf();
+        let name = KINDS[kind as usize];
+        let file_key = Q::file_key(&query.key()).as_u128();
+        let path = root.join(name).join(format!("{file_key:032x}.bsg"));
+        DiskCache::at(&root).store(name, file_key, b"not a canonical payload");
+        for damage in ["undecodable", "truncated"] {
+            if damage == "truncated" {
+                let bytes = std::fs::read(&path).unwrap();
+                std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+            }
+            let store = ArtifactStore::with_disk(DiskCache::at(&root));
+            assert_eq!(store.get(query).encode(), reference, "{name} {damage}");
+            let stats = store.stats();
+            assert_eq!(stats.disk.corrupt, 1, "{name} {damage}: {stats}");
+            assert_eq!(
+                stats.disk.per_kind[kind as usize].hits, 0,
+                "{name}: {stats}"
+            );
+            assert_eq!(builds(&stats), 1, "{name} {damage}: {stats}");
+
+            let repaired = ArtifactStore::with_disk(DiskCache::at(&root));
+            assert_eq!(repaired.get(query).encode(), reference, "{name}");
+            let stats = repaired.stats();
+            assert_eq!(
+                stats.disk.per_kind[kind as usize].hits, 1,
+                "{name}: {stats}"
+            );
+            assert_eq!(builds(&stats), 0, "{name} {damage}: repaired in place");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
     /// A payload whose checksum holds but whose canonical bytes don't decode
-    /// (e.g. written by a different build) is treated as corruption too.
+    /// (e.g. written by a different build) is treated as corruption too, as
+    /// is a truncated one, for every kind.
     #[test]
     fn undecodable_payloads_fall_back_to_rebuild() {
-        let root = temp_disk("undecodable").root().to_path_buf();
         let hll = tiny_program(15);
-        let opts = CompileOptions::new(OptLevel::O0, TargetIsa::X86);
-        let source = SourceId::of(&hll);
-        let file_key = SourceId::of(&(source, opts));
-
-        // Store well-formed garbage under the exact key the store will probe.
-        let cache = DiskCache::at(&root);
-        cache.store("compiled", file_key.as_u128(), b"not a canonical program");
-
-        let store = ArtifactStore::with_disk(DiskCache::at(&root));
-        let artifact = store.compiled(&hll, &opts);
-        assert_eq!(artifact.program, compile(&hll, &opts).unwrap().program);
-        let stats = store.stats();
-        assert_eq!(stats.disk.corrupt, 1);
-        assert_eq!(stats.disk.hits, 0, "a discarded decode is not a hit");
-        assert_eq!(stats.compiled_builds, 1);
-        let _ = std::fs::remove_dir_all(&root);
+        let o0 = CompileOptions::new(OptLevel::O0, TargetIsa::X86);
+        let pcfg = ProfileConfig::default();
+        let scfg = SynthesisConfig::default();
+        let profile = ArtifactStore::new().get(Profile(Compile::of(&hll, o0), "t", &pcfg));
+        check_damaged_payloads_rebuild(Compile::of(&hll, o0), |s| s.compiled_builds);
+        check_damaged_payloads_rebuild(Profile(Compile::of(&hll, o0), "t", &pcfg), |s| {
+            s.profile_builds
+        });
+        check_damaged_payloads_rebuild(Synthesis(&profile, &scfg, 2_000), |s| s.synthesis_builds);
+        check_damaged_payloads_rebuild(CText(&hll), |s| s.c_text_builds);
     }
 
     /// A program whose compile fails (call to an undefined function): the
@@ -996,7 +1044,7 @@ mod tests {
         // exhausted, after which the memoized error (with the final attempt
         // count) is served without re-running the builder.
         for expect_attempts in 1..=MAX_BUILD_ATTEMPTS + 2 {
-            let err = store.try_compiled(&hll, &opts).unwrap_err();
+            let err = store.try_get(Compile::of(&hll, opts)).unwrap_err();
             match err {
                 crate::BsgError::BuildFailed {
                     kind,
@@ -1020,12 +1068,50 @@ mod tests {
         );
     }
 
+    /// The nested path: a profile whose compile dependency fails is itself
+    /// a failed `profile` build carrying the compile error, goes terminal
+    /// after the attempt budget, and leaves healthy keys alone.
+    #[test]
+    fn profiling_an_uncompilable_program_fails_and_memoizes() {
+        let store = ArtifactStore::new();
+        let hll = uncompilable_program();
+        let opts = CompileOptions::portable(OptLevel::O0);
+        let config = ProfileConfig::default();
+        for expect_attempts in 1..=MAX_BUILD_ATTEMPTS + 2 {
+            match store.try_get(Profile(Compile::of(&hll, opts), "bad", &config)) {
+                Err(crate::BsgError::BuildFailed {
+                    kind,
+                    attempts,
+                    ref message,
+                    ..
+                }) => {
+                    assert_eq!(kind, "profile");
+                    assert_eq!(attempts, expect_attempts.min(MAX_BUILD_ATTEMPTS));
+                    assert!(message.contains("no_such_function"), "{message}");
+                }
+                other => panic!("expected BuildFailed, got {other:?}"),
+            }
+        }
+        let stats = store.stats();
+        assert_eq!((stats.profile_builds, stats.compiled_builds), (0, 0));
+        assert_eq!(
+            stats.build_failures,
+            2 * u64::from(MAX_BUILD_ATTEMPTS),
+            "each profile attempt ran one compile attempt, then both memos served"
+        );
+        let healthy = tiny_program(10);
+        let ok = store.try_get(Profile(Compile::of(&healthy, opts), "ok", &config));
+        assert!(ok.is_ok(), "healthy keys are unaffected: {:?}", ok.err());
+    }
+
     #[test]
     fn a_failed_build_does_not_poison_other_keys() {
         let store = ArtifactStore::new();
         let opts = CompileOptions::new(OptLevel::O0, TargetIsa::X86);
-        assert!(store.try_compiled(&uncompilable_program(), &opts).is_err());
-        let ok = store.try_compiled(&tiny_program(10), &opts);
+        assert!(store
+            .try_get(Compile::of(&uncompilable_program(), opts))
+            .is_err());
+        let ok = store.try_get(Compile::of(&tiny_program(10), opts));
         assert!(ok.is_ok(), "healthy keys are unaffected: {:?}", ok.err());
     }
 
@@ -1039,7 +1125,7 @@ mod tests {
         let opts = CompileOptions::new(OptLevel::O1, TargetIsa::X86);
         let errors: Vec<bool> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| store.try_compiled(&hll, &opts).is_err()))
+                .map(|_| s.spawn(|| store.try_get(Compile::of(&hll, opts)).is_err()))
                 .collect();
             handles
                 .into_iter()
@@ -1059,11 +1145,12 @@ mod tests {
         // twice and then succeeds: the first two requests see BuildFailed
         // (with the panic message), the third builds, and later requests
         // hit the memoized value.
-        let table: Table<u32, u32> = Table::new();
+        let table: Table<u32, u32> = Table::new(Kind::Compiled);
+        let counters = Counters::default();
         let key_id = SourceId::of(&7u64);
         let calls = AtomicU64::new(0);
         for attempt in 1..=2u32 {
-            let result = table.get_or_try_init("compiled", key_id, 7, || {
+            let result = table.get_or_try_init(&counters, key_id, 7, || {
                 calls.fetch_add(1, Ordering::Relaxed);
                 panic!("flaky builder dies (attempt {attempt})");
             });
@@ -1077,13 +1164,13 @@ mod tests {
                 other => panic!("expected BuildFailed, got {other:?}"),
             }
         }
-        let value = table.get_or_try_init("compiled", key_id, 7, || {
+        let value = table.get_or_try_init(&counters, key_id, 7, || {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok((99, true))
         });
         assert_eq!(value.as_deref(), Ok(&99), "third attempt succeeds");
         assert_eq!(calls.load(Ordering::Relaxed), 3);
-        let again = table.get_or_try_init("compiled", key_id, 7, || {
+        let again = table.get_or_try_init(&counters, key_id, 7, || {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok((0, true))
         });
@@ -1098,7 +1185,8 @@ mod tests {
     /// the next (uncancelled) request.
     #[test]
     fn a_preempted_build_is_not_memoized_and_does_not_burn_attempts() {
-        let table: Table<u32, u32> = Table::new();
+        let table: Table<u32, u32> = Table::new(Kind::Compiled);
+        let counters = Counters::default();
         let key_id = SourceId::of(&3u64);
         let calls = AtomicU64::new(0);
         let token = std::sync::Arc::new(bsg_uarch::cancel::CancelToken::with_deadline(
@@ -1107,7 +1195,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5)); // token is now tripped
         let result = {
             let _guard = bsg_uarch::cancel::install(token);
-            table.get_or_try_init("compiled", key_id, 3, || {
+            table.get_or_try_init(&counters, key_id, 3, || {
                 calls.fetch_add(1, Ordering::Relaxed);
                 Ok((13, true)) // stands in for a truncated artifact
             })
@@ -1117,17 +1205,17 @@ mod tests {
             "the preempted caller gets DeadlineExceeded, got {result:?}"
         );
         assert_eq!(
-            table.failures.load(Ordering::Relaxed),
+            counters.failures.load(Ordering::Relaxed),
             0,
             "preemption is not a build failure"
         );
         assert_eq!(
-            table.builds.load(Ordering::Relaxed),
+            counters.builds.load(Ordering::Relaxed),
             0,
             "the discarded result is not a build"
         );
         // A later request (no token) rebuilds from scratch and memoizes.
-        let value = table.get_or_try_init("compiled", key_id, 3, || {
+        let value = table.get_or_try_init(&counters, key_id, 3, || {
             calls.fetch_add(1, Ordering::Relaxed);
             Ok((42, true))
         });
@@ -1144,12 +1232,15 @@ mod tests {
         let store = ArtifactStore::new();
         let hll = tiny_program(25);
         let opts = CompileOptions::new(OptLevel::O2, TargetIsa::X86_64);
-        let cached = store.compiled(&hll, &opts);
+        let cached = store.get(Compile::of(&hll, opts));
         let cold = compile(&hll, &opts).unwrap().program;
         assert_eq!(cached.program, cold);
         let config = ProfileConfig::default();
-        let cached_profile =
-            store.profile(&hll, &CompileOptions::portable(OptLevel::O0), "t", &config);
+        let cached_profile = store.get(Profile(
+            Compile::of(&hll, CompileOptions::portable(OptLevel::O0)),
+            "t",
+            &config,
+        ));
         let cold_profile = bsg_profile::profile_program(
             &compile(&hll, &CompileOptions::portable(OptLevel::O0))
                 .unwrap()

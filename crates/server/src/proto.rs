@@ -269,7 +269,7 @@ pub fn write_frame(w: &mut dyn Write, frame: &Frame) -> io::Result<()> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Profile `program` compiled under `options` (the store's
-    /// `try_profile`).
+    /// `try_get` with a `Profile` query).
     Profile {
         /// The source program.
         program: HllProgram,
@@ -282,7 +282,7 @@ pub enum Request {
         config: ProfileConfig,
     },
     /// Synthesize a proxy benchmark from `profile` (the store's
-    /// `try_synthesis`).
+    /// `try_get` with a `Synthesis` query).
     Synthesize {
         /// The statistical profile to clone.
         profile: StatisticalProfile,

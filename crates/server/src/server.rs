@@ -55,6 +55,7 @@ use crate::proto::{
     err_frame, ok_frame, read_frame, write_frame, Frame, FrameError, Request, Response, ServerStats,
 };
 use bsg_bench::{figure_spec, render_figure, try_render_report};
+use bsg_runtime::store::{Compile, Profile, Synthesis};
 use bsg_runtime::{BsgError, BsgResult, RunPolicy, Runtime};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -431,7 +432,7 @@ fn handle_request(request: Request) -> BsgResult<Response> {
             if bsg_runtime::fault::task_panic_target() == Some(name.as_str()) {
                 panic!("chaos: injected task panic serving profile {name} (BSG_FAULT)");
             }
-            let profile = store.try_profile(&program, &options, &name, &config)?;
+            let profile = store.try_get(Profile(Compile::of(&program, options), &name, &config))?;
             Ok(Response::Profile((*profile).clone()))
         }
         Request::Synthesize {
@@ -439,11 +440,11 @@ fn handle_request(request: Request) -> BsgResult<Response> {
             config,
             target_instructions,
         } => {
-            let synthesis = store.try_synthesis(&profile, &config, target_instructions)?;
+            let synthesis = store.try_get(Synthesis(&profile, &config, target_instructions))?;
             Ok(Response::Synthesis((*synthesis).clone()))
         }
         Request::Measure { program, options } => {
-            let artifact = store.try_compiled(&program, &options)?;
+            let artifact = store.try_get(Compile::of(&program, options))?;
             let outcome = bsg_uarch::exec::execute_image(
                 &artifact.image,
                 &mut bsg_uarch::exec::NullObserver,

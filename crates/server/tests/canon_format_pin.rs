@@ -20,7 +20,10 @@ use bsg_ir::program::{Block, Function, Global, GlobalInit, Program};
 use bsg_ir::types::{BlockId, FuncId, GlobalId, Reg, Ty, Value};
 use bsg_ir::visa::{Address, Inst, MemBase, Operand, Terminator};
 use bsg_profile::{profile_program, ProfileConfig, StatisticalProfile};
-use bsg_runtime::{BsgError, DiskStats, KindStats, SourceId, StoreStats};
+use bsg_runtime::{
+    store::{CText, Compile, Profile, Synthesis},
+    ArtifactStore, BsgError, DiskCache, DiskStats, KindStats, SourceId, StoreStats,
+};
 use bsg_server::{Response, ServerStats};
 use bsg_synth::{synthesize_with_target, SynthesisConfig};
 use bsg_uarch::CacheConfig;
@@ -343,6 +346,71 @@ fn canonical_format_is_pinned() {
         actual, expected,
         "the canonical format changed; if intended, bump FORMAT_VERSION / \
          PROTO_VERSION and pin the new ids:\n{table}"
+    );
+}
+
+/// Pins the disk tier's entry names: `<kind>/<key>.bsg` for one fixed
+/// sample of each artifact kind, filled through the store.  The kind
+/// directories and file keys are what every existing warm cache directory
+/// is addressed by (and what perfbench's traced store re-derives by hand),
+/// so moving either one silently turns every warm run cold.
+#[test]
+fn disk_entry_names_are_pinned() {
+    let root = std::env::temp_dir().join(format!(
+        "bsg-pin-disk-names-{}-{:x}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .expect("clock after the epoch")
+            .as_nanos()
+    ));
+    let store = ArtifactStore::with_disk(DiskCache::at(&root));
+    let hll = sample_hll();
+    let workload = suite(InputSize::Small)
+        .into_iter()
+        .find(|w| w.kernel == "bitcount")
+        .expect("bitcount is registered");
+    store.get(Compile::of(
+        &hll,
+        CompileOptions::new(OptLevel::O2, TargetIsa::X86),
+    ));
+    let profile = store.get(Profile(
+        Compile::of(&workload.program, CompileOptions::portable(OptLevel::O0)),
+        &workload.name,
+        &ProfileConfig::default(),
+    ));
+    store.get(Synthesis(&profile, &SynthesisConfig::default(), 20_000));
+    store.get(CText(&hll));
+
+    let mut names = BTreeSet::new();
+    for kind in std::fs::read_dir(&root).expect("the store wrote entries") {
+        let kind = kind.expect("readable kind dir").path();
+        for file in std::fs::read_dir(&kind).expect("readable kind dir") {
+            let file = file.expect("readable entry").path();
+            names.insert(format!(
+                "{}/{}",
+                kind.file_name().expect("named").to_string_lossy(),
+                file.file_name().expect("named").to_string_lossy()
+            ));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    let expected: BTreeSet<String> = [
+        // The sample HLL's own content address (the `HllProgram` pin).
+        "c-text/44b9e56ba8aebd79e6fa3b7e1bf381ee.bsg",
+        // The sample at (-O2, x86) and bitcount at portable -O0, the
+        // latter built as the profile's dependency.
+        "compiled/00e4736552b392e65fb0330788a7c801.bsg",
+        "compiled/d825a40a498a73b5a08d7e9df87eb64d.bsg",
+        "profile/e9f349cff885e52658b24f49dfe976fb.bsg",
+        "synthesis/0ac81a0d470403dc14c7095f8e1d8865.bsg",
+    ]
+    .into_iter()
+    .map(String::from)
+    .collect();
+    assert_eq!(
+        names, expected,
+        "disk kind names or file keys moved; every existing cache turns cold"
     );
 }
 
